@@ -41,7 +41,6 @@ from .jets import (
 )
 from .kernels import (
     CircularKernelProfile,
-    HermitianPairing,
     KernelPoint,
     KernelValue,
     axis_limit_kernel,
@@ -49,6 +48,7 @@ from .kernels import (
     deflation_constant,
     deflation_pair,
     disc_profile,
+    evaluate,
     fold,
     general_folded_kernel,
     hartogs2_kernel,
@@ -68,7 +68,6 @@ from .oracle import (
     mc_volume,
     reproducing_check,
     series_kernel,
-    volume_exact,
 )
 from .zeros import (
     SliceFunction,
@@ -99,14 +98,14 @@ __all__ = [
     "PreconditionViolated", "SchemaError", "UnsupportedDomain",
     "Jet1", "Jet2", "derivative_extract", "jet1_const", "jet1_variable",
     "jet_rpow", "partial_extract",
-    "CircularKernelProfile", "HermitianPairing", "KernelPoint", "KernelValue",
+    "CircularKernelProfile", "KernelPoint", "KernelValue",
     "axis_limit_kernel", "ball_kernel", "deflation_constant", "deflation_pair",
-    "disc_profile", "fold", "general_folded_kernel", "hartogs2_kernel",
+    "disc_profile", "evaluate", "fold", "general_folded_kernel", "hartogs2_kernel",
     "hartogs_profile", "inflate", "k2_closed_form", "mixed_family_kernel",
     "pairing", "pflate_kernel", "simplex_restricted_kernel",
     "simplex_restriction_constant", "slice_kernel_kp",
     "ReproducingResidual", "SeriesConfig", "mc_volume", "reproducing_check",
-    "series_kernel", "volume_exact",
+    "series_kernel",
     "SliceFunction", "TwoVarSlice", "Zero", "ZeroReport", "axis1_slice",
     "axis1_zero_locus", "axis2_slice", "axis2_zero_locus",
     "count_zeros_winding", "grid_zero_scan", "k2_axis_slice",

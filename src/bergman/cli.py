@@ -32,6 +32,7 @@ from .errors import (
     OutsideDomain,
     PreconditionViolated,
     SchemaError,
+    UnsupportedDomain,
 )
 from .jets import jet1_variable
 from .kernels import (
@@ -39,14 +40,14 @@ from .kernels import (
     ball_kernel,
     deflation_constant,
     deflation_pair,
+    disc_kernel_values,
     disc_profile,
+    evaluate,
     fold,
     general_folded_kernel,
-    hartogs2_kernel,
     k2_closed_form,
     k2_values,
     mixed_family_kernel,
-    pflate_kernel,
     slice_kernel_kp,
 )
 from .oracle import SeriesConfig, reproducing_check, series_kernel
@@ -69,6 +70,8 @@ EXIT_VERIFY = 5
 
 _LOCUS_SPAN = 0.95
 _K2_GRID_MARGIN = 0.12
+# most values one sweep grid may hold; each one costs a full zero scan
+_MAX_GRID = 1000
 
 
 class _Usage(Exception):
@@ -111,14 +114,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bergman-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bergman-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise _Usage(f"--out: cannot write {out!r} ({e})") from e
         raise
 
 
@@ -152,6 +158,10 @@ def _parse_range(text: str, label: str) -> list[float]:
             if step <= 0:
                 raise ValueError("step must be positive")
             a, b = float(left), float(right)
+            if not all(map(math.isfinite, (a, b, step))):
+                raise ValueError("bounds and step must be finite")
+            if (b - a) / step >= _MAX_GRID:
+                raise ValueError(f"more than {_MAX_GRID} values")
             vals = []
             k = 0
             while a + k * step <= b + 1e-9:
@@ -165,41 +175,46 @@ def _parse_range(text: str, label: str) -> list[float]:
         raise _Usage(f"--{label}: bad grid value {text!r} ({e})") from e
 
 
+# --------------------------------------------------------------- families
+
+# family -> (parameter, slice at a parameter value, does the family have
+# zeros at that value); k2 takes no parameter.  The lambdas look the
+# constructors up at call time, so a rebound module attribute is seen.
+_FAMILIES = {
+    "axis1": ("p", lambda p: axis1_slice(p), lambda p: p > 2.0),
+    "axis2": ("p", lambda p: axis2_slice(p), lambda p: p > 2.0),
+    "simplex": ("n", lambda n: simplex_slice(n), lambda n: n >= 3),
+    "mixed": ("n", lambda n: mixed_slice(n), lambda n: n >= 4),
+    "k2": (None, lambda _: k2_pair_slice(), lambda _: False),
+}
+
+
+def _family(fam: str, args):
+    """Table entry of fam and its parameter value from --p or --n, checked."""
+    if fam not in _FAMILIES:
+        raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
+    param, make, zeroed = _FAMILIES[fam]
+    if param is None:
+        return param, make, zeroed, None
+    value = getattr(args, param)
+    (value,) = _family_values(fam, param, None if value is None else [value])
+    return param, make, zeroed, value
+
+
+def _family_values(fam: str, flag: str, values: list | None) -> list:
+    """The values given for fam's parameter by --flag, each checked."""
+    if values is None:
+        raise _Usage(f"--family {fam} needs --{flag}")
+    param = _FAMILIES[fam][0]
+    for v in values:
+        if param == "p" and not (v > 0.0 and math.isfinite(v)):
+            raise _Usage(f"--{flag} must be finite and > 0, got {_fmt(v)}")
+        if param == "n" and v < 2:
+            raise _Usage(f"--{flag} must be >= 2, got {v}")
+    return values
+
+
 # ------------------------------------------------------------------- eval
-
-
-def _dispatch_eval(d: DomainSpec, z, w):
-    """Pick the best closed form for the block structure; series as fallback."""
-    blocks = d.blocks
-    ps = d.exponents()
-    if len(blocks) == 1:
-        # a single block is the unit ball of its dimension, whatever p is
-        return ball_kernel(blocks[0].dim, z, w)
-    if (len(blocks) == 2 and blocks[0].dim == 1 and blocks[0].p == 2.0
-            and blocks[1].p == 1.0 and blocks[1].dim >= 2):
-        return mixed_family_kernel(d.total_dim, z, w)
-    if len(blocks) == 2 and blocks[0].p == 1.0 and not d.is_diagonal:
-        n, m, p = blocks[0].dim, blocks[1].dim, blocks[1].p
-        return pflate_kernel(n, m, p, z[:n], z[n:], w[:n], w[n:])
-    if d.is_diagonal:
-        if len(ps) == 2:
-            x = z[0] * w[0].conjugate()
-            y = z[1] * w[1].conjugate()
-            if ps == (2.0, 2.0):
-                return k2_closed_form(x, y)
-            if ps[0] == 2.0:
-                return slice_kernel_kp(ps[1], x, y)
-            if ps[1] == 2.0:
-                return slice_kernel_kp(ps[0], y, x)
-            if ps[0] == 1.0:
-                return hartogs2_kernel(ps[1], z[0], z[1], w[0], w[1])
-            if ps[1] == 1.0:
-                return hartogs2_kernel(ps[0], z[1], z[0], w[1], w[0])
-        if all(float(p).is_integer() for p in ps[:-1]):
-            return general_folded_kernel(
-                [int(p) for p in ps[:-1]], ps[-1], KernelPoint(tuple(z), tuple(w)))
-        return series_kernel(d, z, w, SeriesConfig())
-    raise _Usage("no evaluator for this block structure")
 
 
 def _cmd_eval(args) -> int:
@@ -209,7 +224,7 @@ def _cmd_eval(args) -> int:
     for label, pt in (("z", z), ("w", w)):
         if not contains(d, pt):
             raise OutsideDomain(f"--{label} point lies outside the domain")
-    kv = _dispatch_eval(d, z, w)
+    kv = evaluate(d, z, w)
     tol = args.tol if args.tol is not None else 1e-6
     record = {
         "command": "eval",
@@ -248,22 +263,14 @@ def _read_domain_arg(text: str) -> str:
 
 def _zeros_report(args):
     fam = args.family
-    if fam in ("axis1", "axis2"):
-        if args.p is None:
-            raise _Usage(f"--family {fam} needs --p")
-        locus = axis1_zero_locus if fam == "axis1" else axis2_zero_locus
-        return locus(args.p), args.p > 2.0, {"p": args.p}
-    if fam in ("simplex", "mixed"):
-        if args.n is None:
-            raise _Usage(f"--family {fam} needs --n")
-        n = int(args.n)
-        slc = simplex_slice(n) if fam == "simplex" else mixed_slice(n)
-        threshold = 3 if fam == "simplex" else 4
-        return (grid_zero_scan(slc, args.res, tol=args.tol),
-                n >= threshold, {"n": n})
-    if fam == "k2":
-        return grid_zero_scan(k2_pair_slice(), args.res, tol=args.tol), False, {}
-    raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
+    param, make, zeroed, value = _family(fam, args)
+    if fam == "axis1":
+        rep = axis1_zero_locus(value)
+    elif fam == "axis2":
+        rep = axis2_zero_locus(value)
+    else:
+        rep = grid_zero_scan(make(value), args.res, tol=args.tol)
+    return rep, zeroed(value), {} if param is None else {param: value}
 
 
 def _cmd_zeros(args) -> int:
@@ -285,16 +292,11 @@ def _locus_rows(args):
     """Rows (x, y, K) over the family's slice grid, row-major, deterministic."""
     fam = args.family
     res = args.res
+    _, make, _, value = _family(fam, args)
+    if res < 1:
+        raise _Usage(f"--res must be >= 1, got {res}")
     if fam in ("axis1", "simplex", "mixed"):
-        if fam == "axis1":
-            if args.p is None:
-                raise _Usage("--family axis1 needs --p")
-            slc = axis1_slice(args.p)
-        else:
-            if args.n is None:
-                raise _Usage(f"--family {fam} needs --n")
-            slc = simplex_slice(int(args.n)) if fam == "simplex" \
-                else mixed_slice(int(args.n))
+        slc = make(value)
         side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
         for re_t in side:
             for im_t in side:
@@ -302,9 +304,7 @@ def _locus_rows(args):
                 yield t, 0j, complex(slc.eval(t))
         return
     if fam == "axis2":
-        if args.p is None:
-            raise _Usage("--family axis2 needs --p")
-        slc = axis2_slice(args.p)
+        slc = make(value)
         for y in np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res):
             yield 0j, complex(y), complex(slc.eval(complex(y)))
         return
@@ -321,8 +321,6 @@ def _locus_rows(args):
                               ys.astype(complex))
             for y, k in zip(ys, kvals):
                 yield complex(x), complex(y), complex(k)
-        return
-    raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
 
 
 def _cmd_locus(args) -> int:
@@ -351,27 +349,24 @@ def _cmd_sweep(args) -> int:
     fam = args.family
     res = args.res
     tol = args.tol if args.tol is not None else 1e-9
+    if fam not in ("axis1", "simplex", "mixed"):
+        raise _Usage(f"sweep supports axis1, simplex, mixed; got {fam!r}")
+    make = _FAMILIES[fam][1]
     lines = []
     if fam == "axis1":
-        if args.p1 is None:
-            raise _Usage("--family axis1 needs --p1")
-        p1s = _parse_range(" ".join(args.p1), "p1")
+        p1s = _family_values(fam, "p1", args.p1 and _parse_range(" ".join(args.p1), "p1"))
         p2s = _parse_range(" ".join(args.p2), "p2") if args.p2 else [1.0]
         lines.append("p1,p2,status")
         for p1 in p1s:
             for p2 in p2s:
-                status = _sweep_status(axis1_slice(p1), res, tol)
+                status = _sweep_status(make(p1), res, tol)
                 lines.append(f"{_fmt(p1)},{_fmt(p2)},{status}")
-    elif fam in ("simplex", "mixed"):
-        if args.n is None:
-            raise _Usage(f"--family {fam} needs --n")
-        ns = [int(round(v)) for v in _parse_range(" ".join(args.n), "n")]
-        make = simplex_slice if fam == "simplex" else mixed_slice
+    else:
+        ns = _family_values(fam, "n", args.n and [
+            int(round(v)) for v in _parse_range(" ".join(args.n), "n")])
         lines.append("n,status")
         for n in ns:
             lines.append(f"{n},{_sweep_status(make(n), res, tol)}")
-    else:
-        raise _Usage(f"sweep supports axis1, simplex, mixed; got {fam!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -447,35 +442,22 @@ def _suite_oracle(seed: int, results: list) -> None:
             if math.sqrt(abs(a)) + abs(b) ** (1.0 / p) <= budget:
                 return a, b
 
-    worst = 0.0
-    d22 = diagonal_domain(2.0, 2.0)
-    for _ in range(4):
-        x, y = draw(0.6, 2.0)
-        xr, yr = math.sqrt(abs(x)), math.sqrt(abs(y))
-        z = (complex(xr), complex(yr))
-        w = ((x / xr).conjugate() if xr else 0j,
-             (y / yr).conjugate() if yr else 0j)
-        got = series_kernel(d22, z, w, cfg).value
-        ref = k2_closed_form(z[0] * w[0].conjugate(),
-                             z[1] * w[1].conjugate()).value
-        worst = max(worst, abs(got - ref) / abs(ref))
-    _check("oracle/k2-agreement", worst < 1e-6,
-           f"max rel diff {_fmt(worst)}", results)
-
-    worst = 0.0
-    d24 = diagonal_domain(2.0, 4.0)
-    for _ in range(2):
-        x, y = draw(0.6, 4.0)
-        xr, yr = math.sqrt(abs(x)), abs(y) ** 0.5
-        z = (complex(xr), complex(yr))
-        w = ((x / xr).conjugate() if xr else 0j,
-             (y / yr).conjugate() if yr else 0j)
-        got = series_kernel(d24, z, w, cfg).value
-        ref = slice_kernel_kp(4.0, z[0] * w[0].conjugate(),
-                              z[1] * w[1].conjugate()).value
-        worst = max(worst, abs(got - ref) / abs(ref))
-    _check("oracle/slice-2-4-agreement", worst < 1e-6,
-           f"max rel diff {_fmt(worst)}", results)
+    for label, p, count, closed in (
+            ("k2", 2.0, 4, k2_closed_form),
+            ("slice-2-4", 4.0, 2, lambda x, y: slice_kernel_kp(4.0, x, y))):
+        worst = 0.0
+        d = diagonal_domain(2.0, p)
+        for _ in range(count):
+            x, y = draw(0.6, p)
+            xr, yr = math.sqrt(abs(x)), math.sqrt(abs(y))
+            z = (complex(xr), complex(yr))
+            w = ((x / xr).conjugate() if xr else 0j,
+                 (y / yr).conjugate() if yr else 0j)
+            got = series_kernel(d, z, w, cfg).value
+            ref = closed(z[0] * w[0].conjugate(), z[1] * w[1].conjugate()).value
+            worst = max(worst, abs(got - ref) / abs(ref))
+        _check(f"oracle/{label}-agreement", worst < 1e-6,
+               f"max rel diff {_fmt(worst)}", results)
 
 
 def _suite_reproducing(seed: int, results: list) -> None:
@@ -483,8 +465,7 @@ def _suite_reproducing(seed: int, results: list) -> None:
     disc = diagonal_domain(2.0)
 
     def disc_K(z, pts):
-        t = z[0] * np.conj(pts[:, 0])
-        return 1.0 / (math.pi * (1.0 - t) ** 2)
+        return disc_kernel_values(z[0] * np.conj(pts[:, 0]))
 
     res = reproducing_check(disc, disc_K, {(0,): 1.0}, (0j,), samples, seed)
     ok = float(res) <= max(3.0 * res.stderr, 1e-3) and res.stderr > 0.0
@@ -630,7 +611,7 @@ def main(argv=None) -> int:
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ValueError) as e:
+    except (SchemaError, UnsupportedDomain, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OutsideDomain as e:

@@ -108,8 +108,8 @@ def parse_domain_spec(text) -> DomainSpec:
     """Parse the JSON domain description {"blocks":[{"dim":int,"p":number},...]}.
 
     Accepts a JSON string or an already-decoded dict.  Structural problems
-    raise SchemaError with the offending field path; nonpositive dim or p
-    raise ValueError.
+    raise SchemaError with the offending field path; nonpositive dim or p,
+    and non-finite p, raise ValueError.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -143,6 +143,8 @@ def parse_domain_spec(text) -> DomainSpec:
             raise ValueError(f"{path}.dim must be positive, got {dim}")
         if p <= 0:
             raise ValueError(f"{path}.p must be positive, got {p}")
+        if not math.isfinite(p):
+            raise ValueError(f"{path}.p must be finite, got {p}")
         out.append(Block(dim, float(p)))
     return DomainSpec(tuple(out))
 
@@ -159,7 +161,8 @@ def phi(d: DomainSpec, z: Sequence[complex]) -> float:
         for k in range(b.dim):
             norm_sq += abs(z[idx + k]) ** 2
         idx += b.dim
-        if norm_sq > 0.0:
+        # != rather than >, so that a NaN coordinate makes phi NaN: outside
+        if norm_sq != 0.0:
             total += norm_sq ** (1.0 / b.p)
     return total
 

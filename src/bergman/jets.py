@@ -55,9 +55,10 @@ class Jet1:
         return jet_arith(_coerce1(other, self), self, "div")
 
     def __pow__(self, n):
-        # integer powers only; fractional exponents go through jet_rpow
+        # whole non-negative ints multiply out; any other real goes through
+        # jet_rpow, so write a float exponent (x ** 4.0) to take the recurrence
         if not isinstance(n, int) or n < 0:
-            return NotImplemented
+            return jet_rpow(self, float(n))
         out = jet1_const(1.0, self.order, self.center)
         for _ in range(n):
             out = out * self
@@ -123,16 +124,6 @@ def jet2_const(value: complex, orders: tuple[int, int],
     nt, nu = orders
     rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
     rows[0][0] = complex(value)
-    return Jet2((complex(center[0]), complex(center[1])),
-                tuple(tuple(r) for r in rows))
-
-
-def jet2_variable_t(center: tuple[complex, complex], orders: tuple[int, int]) -> Jet2:
-    nt, nu = orders
-    rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
-    rows[0][0] = complex(center[0])
-    if nt >= 1:
-        rows[1][0] = 1 + 0j
     return Jet2((complex(center[0]), complex(center[1])),
                 tuple(tuple(r) for r in rows))
 

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .domains import Block, DomainSpec, contains, diagonal_domain, gamma_fn, phi
+from .domains import Block, DomainSpec, contains, diagonal_domain, gamma_fn
 from .errors import (
     InvalidOrder,
     NonIntegerFold,
     OutsideDomain,
     PoleHit,
+    UnsupportedDomain,
 )
 from .jets import (
     Jet1,
@@ -61,22 +62,6 @@ class KernelPoint:
                 f"point pair has mismatched lengths {len(self.z)} vs {len(self.w)}")
 
 
-@dataclass(frozen=True)
-class HermitianPairing:
-    """Pairings sum_k z_k conj(w_k), with the first two slots kept separate."""
-
-    t: complex
-    x: complex
-    y: complex
-
-    @classmethod
-    def of(cls, z: Sequence[complex], w: Sequence[complex]) -> "HermitianPairing":
-        t = sum(a * b.conjugate() for a, b in zip(z, w))
-        x = z[0] * w[0].conjugate() if len(z) >= 1 else 0j
-        y = z[1] * w[1].conjugate() if len(z) >= 2 else 0j
-        return cls(t, x, y)
-
-
 def pairing(z: Sequence[complex], w: Sequence[complex]) -> complex:
     return sum((a * b.conjugate() for a, b in zip(z, w)), 0j)
 
@@ -91,7 +76,6 @@ class CircularKernelProfile:
     """
 
     eval: Callable[[Sequence[complex], Sequence[complex], Jet1], Jet1]
-    base_dim: int
 
 
 def disc_profile() -> CircularKernelProfile:
@@ -100,7 +84,7 @@ def disc_profile() -> CircularKernelProfile:
     def ev(z, w, t: Jet1) -> Jet1:
         return jet_rpow(1.0 - t, -2.0) * (1.0 / math.pi)
 
-    return CircularKernelProfile(eval=ev, base_dim=0)
+    return CircularKernelProfile(eval=ev)
 
 
 def hartogs_profile(p: float) -> CircularKernelProfile:
@@ -121,13 +105,11 @@ def hartogs_profile(p: float) -> CircularKernelProfile:
         val = 2.0 * d1 * d1 * jet_rpow(denom, -3.0) - d2 * jet_rpow(denom, -2.0)
         return val * (1.0 / (p * math.pi ** 2))
 
-    return CircularKernelProfile(eval=ev, base_dim=1)
+    return CircularKernelProfile(eval=ev)
 
 
 def _fold_exponent(p) -> int:
-    if isinstance(p, bool) or isinstance(p, complex):
-        raise NonIntegerFold(f"fold exponent must be a positive integer, got {p!r}")
-    if float(p) != int(p) or p < 1:
+    if isinstance(p, (bool, complex)) or float(p) != int(p) or p < 1:
         raise NonIntegerFold(f"fold exponent must be a positive integer, got {p!r}")
     return int(p)
 
@@ -170,7 +152,7 @@ def fold(L: CircularKernelProfile, p: int) -> CircularKernelProfile:
             tpow = tpow * t
         return out
 
-    return CircularKernelProfile(eval=ev, base_dim=L.base_dim)
+    return CircularKernelProfile(eval=ev)
 
 
 def inflate(L: CircularKernelProfile, m: int):
@@ -420,11 +402,15 @@ def axis_limit_kernel(p: float, y: complex) -> complex:
     The slice kernel is analytic in x, so the limit is approached linearly:
     slice_kernel_kp(p, x, y) = axis_limit_kernel(p, y) + O(|x|).  Continued
     to y = -1, where (1-y)^4 = 16, the value is -(p^2-4)/(16 pi^2), which is
-    negative for p > 2.
+    negative for p > 2.  Evaluates on scalars and jets alike.
     """
-    num = (y * y * (p * p - 3.0 * p + 2.0) + 4.0 * y * (p * p - 1.0)
-           + (p * p + 3.0 * p + 2.0))
-    return num / (2.0 * math.pi ** 2 * (1.0 - y) ** 4)
+    a, b, c = _axis2_coefficients(p)
+    return (y * y * a + b * y + c) / (2.0 * math.pi ** 2 * (1.0 - y) ** 4.0)
+
+
+def _axis2_coefficients(p: float) -> tuple[float, float, float]:
+    """(a, b, c) of the numerator a y^2 + b y + c of axis_limit_kernel."""
+    return p * p - 3.0 * p + 2.0, 4.0 * (p * p - 1.0), p * p + 3.0 * p + 2.0
 
 
 def k2_closed_form(x: complex, y: complex) -> KernelValue:
@@ -435,11 +421,16 @@ def k2_closed_form(x: complex, y: complex) -> KernelValue:
     """
     if math.sqrt(abs(x)) + math.sqrt(abs(y)) > 1.0 + 1e-12:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable")
-    delta = (1.0 - x - y) ** 2 - 4.0 * x * y
+    num, delta = _k2_terms(x, y)
     if abs(delta) ** 3 < _POLE_EPS:
         raise PoleHit(f"denominator vanished at ({x}, {y})")
-    num = 3.0 * (1.0 - x - y) * (1.0 - (x - y) ** 2) + 8.0 * x * y
-    return KernelValue(2.0 * num / (math.pi ** 2 * delta ** 3), "k2_closed")
+    return KernelValue(2.0 * num / (math.pi ** 2 * delta ** 3.0), "k2_closed")
+
+
+def _k2_terms(x, y):
+    """(num, delta) of K2 = (2/pi^2) num / delta^3, on scalars, arrays and jets."""
+    s = 1.0 - x - y
+    return 3.0 * s * (1.0 - (x - y) ** 2) + 8.0 * x * y, s ** 2 - 4.0 * x * y
 
 
 def simplex_restriction_constant(n: int) -> float:
@@ -479,7 +470,7 @@ def mixed_family_kernel(n: int, z: Sequence[complex],
 
         K = (n!/pi^n) (1/(4v)) [(1 - t' - v)^-(n+1) - (1 - t' + v)^-(n+1)]
 
-    with the same small-|v| limit policy as slice_kernel_kp.
+    which is the odd quotient below at a = 1 - t', with its small-|v| series.
     """
     if n < 2:
         raise InvalidOrder(f"dimension must be >= 2, got {n}")
@@ -488,15 +479,66 @@ def mixed_family_kernel(n: int, z: Sequence[complex],
             raise OutsideDomain("point outside the unit ball in root coordinates")
     v = z[0] * w[0].conjugate()
     tp = sum(a * b.conjugate() for a, b in zip(z[1:], w[1:]))
-    lead = math.factorial(n) / math.pi ** n
-    if abs(v) >= EPS_SWITCH:
-        bracket = (1.0 - tp - v) ** (-(n + 1.0)) - (1.0 - tp + v) ** (-(n + 1.0))
-        return KernelValue(lead * bracket / (4.0 * v), "mixed_family")
-    g = jet_rpow(1.0 - tp - jet1_variable(0j, 5), -(n + 1.0))
-    c = g.coeffs
-    # (1/(4v)) [G(v) - G(-v)] = (1/2) (c1 + c3 v^2 + c5 v^4)
-    val = 0.5 * (c[1] + c[3] * v ** 2 + c[5] * v ** 4)
-    return KernelValue(lead * val, "mixed_family", near_singular_limit=True)
+    val = _odd_quotient(1.0 - tp, n + 1.0, math.factorial(n) / math.pi ** n, v)
+    return KernelValue(val, "mixed_family", abs(v) < EPS_SWITCH)
+
+
+def _odd_quotient(a, m: float, scale: float, t):
+    """scale * [(a - t)^-m - (a + t)^-m] / (4t), on scalars and jets.
+
+    The bracket is odd in t, so the quotient extends across t = 0: for
+    |t| < EPS_SWITCH the odd jet of (a - t)^-m is divided by t
+    coefficientwise, as slice_kernel_kp does.
+    """
+    if isinstance(t, Jet1):
+        return scale * (jet_rpow(a - t, -m) - jet_rpow(a + t, -m)) / (4.0 * t)
+    if abs(t) >= EPS_SWITCH:
+        return scale * ((a - t) ** -m - (a + t) ** -m) / (4.0 * t)
+    c = jet_rpow(a - jet1_variable(0j, 5), -m).coeffs
+    # [(a - t)^-m - (a + t)^-m] / (4t) = (c1 + c3 t^2 + c5 t^4) / 2
+    return scale * 0.5 * (c[1] + c[3] * t ** 2 + c[5] * t ** 4)
+
+
+def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> KernelValue:
+    """Kernel value at (z, w) by the closed form for the block structure.
+
+    First match wins: one block (ball, whatever p is); (1, 2) + (m >= 2, 1)
+    (mixed_family); non-diagonal (n, 1) + (m, p) (pflate); diagonal (2, 2)
+    (k2_closed), (2, p) or (p, 2) (slice_kp), (1, p) or (p, 1) (hartogs2),
+    integer exponents but the last (folded), else the series oracle.  Other
+    structures raise UnsupportedDomain.
+    """
+    blocks = d.blocks
+    ps = d.exponents()
+    if len(blocks) == 1:
+        return ball_kernel(blocks[0].dim, z, w)
+    if (len(blocks) == 2 and blocks[0].dim == 1 and blocks[0].p == 2.0
+            and blocks[1].p == 1.0 and blocks[1].dim >= 2):
+        return mixed_family_kernel(d.total_dim, z, w)
+    if len(blocks) == 2 and blocks[0].p == 1.0 and not d.is_diagonal:
+        n, m, p = blocks[0].dim, blocks[1].dim, blocks[1].p
+        return pflate_kernel(n, m, p, z[:n], z[n:], w[:n], w[n:])
+    if not d.is_diagonal:
+        raise UnsupportedDomain("no evaluator for this block structure")
+    if len(ps) == 2:
+        x = z[0] * w[0].conjugate()
+        y = z[1] * w[1].conjugate()
+        if ps == (2.0, 2.0):
+            return k2_closed_form(x, y)
+        if ps[0] == 2.0:
+            return slice_kernel_kp(ps[1], x, y)
+        if ps[1] == 2.0:
+            return slice_kernel_kp(ps[0], y, x)
+        if ps[0] == 1.0:
+            return hartogs2_kernel(ps[1], z[0], z[1], w[0], w[1])
+        if ps[1] == 1.0:
+            return hartogs2_kernel(ps[0], z[1], z[0], w[1], w[0])
+    if all(float(p).is_integer() for p in ps[:-1]):
+        return general_folded_kernel(
+            [int(p) for p in ps[:-1]], ps[-1], KernelPoint(tuple(z), tuple(w)))
+    from .oracle import SeriesConfig, series_kernel
+
+    return series_kernel(d, z, w, SeriesConfig())
 
 
 def disc_kernel_values(t: np.ndarray) -> np.ndarray:
@@ -510,10 +552,12 @@ def ball_kernel_values(m: int, t: np.ndarray) -> np.ndarray:
 
 
 def k2_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized k2_closed_form over arrays of slice pairings."""
-    delta = (1.0 - x - y) ** 2 - 4.0 * x * y
-    num = 3.0 * (1.0 - x - y) * (1.0 - (x - y) ** 2) + 8.0 * x * y
-    return 2.0 * num / (math.pi ** 2 * delta ** 3)
+    """k2_closed_form over arrays of slice pairings, or on a jet in x.
+
+    No domain or pole check, unlike k2_closed_form.
+    """
+    num, delta = _k2_terms(x, y)
+    return 2.0 * num / (math.pi ** 2 * delta ** 3.0)
 
 
 def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, log_monomial_norm_sq, phi, volume
+from .domains import DomainSpec, log_monomial_norm_sq, phi
 from .errors import NoConvergence, PreconditionViolated, UnsupportedDomain
 from .kernels import KernelValue
 
@@ -230,8 +230,3 @@ def reproducing_check(d: DomainSpec, K: Callable[..., np.ndarray],
     expected = complex(poly_eval(h, zz)[0])
     return ReproducingResidual(abs(estimate - expected), estimate, expected,
                                stderr, samples)
-
-
-def volume_exact(d: DomainSpec) -> float:
-    """Gamma-formula volume, re-exported next to its Monte Carlo check."""
-    return volume(d)

@@ -10,15 +10,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ContourThroughZero, NoConvergence, PreconditionViolated
-from .jets import Jet1, jet1_variable, jet_rpow
+from .jets import Jet1, jet1_variable
 from .kernels import (
-    EPS_SWITCH,
+    _axis2_coefficients,
+    _k2_terms,
+    _odd_quotient,
     axis_limit_kernel,
+    k2_values,
     simplex_restriction_constant,
-    slice_kernel_kp,
 )
 
 DEFAULT_SCAN_MARGIN = 0.12
@@ -74,50 +76,23 @@ class TwoVarSlice:
     restrict_x: Callable[[complex], SliceFunction] | None = None
 
 
-def _odd_ratio(m: float, scale: float, t):
-    """scale * [(1-t)^-m - (1+t)^-m] / (4t), with the jet limit at small |t|.
-
-    The bracket is odd, so the quotient extends across t = 0; the small-|t|
-    branch divides the odd jet coefficientwise, exactly as the kernel
-    evaluators do.
-    """
-    if isinstance(t, Jet1):
-        return scale * (jet_rpow(1.0 - t, -m) - jet_rpow(1.0 + t, -m)) / (4.0 * t)
-    t = complex(t)
-    if abs(t) >= EPS_SWITCH:
-        bracket = (1.0 - t) ** (-m) - (1.0 + t) ** (-m)
-        return scale * bracket / (4.0 * t)
-    c = jet_rpow(1.0 - jet1_variable(0j, 5), -m).coeffs
-    # [(1-t)^-m - (1+t)^-m]/(4t) = (c1 + c3 t^2 + c5 t^4)/2
-    return scale * 0.5 * (c[1] + c[3] * t ** 2 + c[5] * t ** 4)
-
-
 def axis1_slice(p: float) -> SliceFunction:
     """K restricted to the second slice variable = 0, in the root variable."""
     return SliceFunction(
-        eval=lambda t: _odd_ratio(p + 2.0, (p + 1.0) / math.pi ** 2, t),
+        eval=lambda t: _odd_quotient(1.0, p + 2.0, (p + 1.0) / math.pi ** 2, t),
         description=f"axis-1 slice, fiber exponent {p}")
 
 
 def axis2_slice(p: float) -> SliceFunction:
     """K restricted to the first slice variable = 0, a rational function of y."""
-    a = p * p - 3.0 * p + 2.0
-    b = 4.0 * (p * p - 1.0)
-    c = p * p + 3.0 * p + 2.0
-
-    def ev(y):
-        if isinstance(y, Jet1):
-            num = a * y * y + b * y + c
-            return num * jet_rpow(1.0 - y, -4.0) * (1.0 / (2.0 * math.pi ** 2))
-        return axis_limit_kernel(p, complex(y))
-
-    return SliceFunction(eval=ev, description=f"axis-2 slice, fiber exponent {p}")
+    return SliceFunction(eval=lambda y: axis_limit_kernel(p, y),
+                         description=f"axis-2 slice, fiber exponent {p}")
 
 
 def mixed_slice(n: int) -> SliceFunction:
     """The t'=0 restriction of the mixed-family kernel in the root variable."""
     return SliceFunction(
-        eval=lambda t: _odd_ratio(n + 1.0, math.factorial(n) / math.pi ** n, t),
+        eval=lambda t: _odd_quotient(1.0, n + 1.0, math.factorial(n) / math.pi ** n, t),
         description=f"mixed family slice, dimension {n}")
 
 
@@ -126,24 +101,16 @@ def simplex_slice(n: int) -> SliceFunction:
     cn = simplex_restriction_constant(n)
     p = 2.0 * n - 2.0
     return SliceFunction(
-        eval=lambda t: _odd_ratio(p + 2.0, cn * (p + 1.0) / math.pi ** 2, t),
+        eval=lambda t: _odd_quotient(1.0, p + 2.0, cn * (p + 1.0) / math.pi ** 2, t),
         description=f"simplex-norm slice, dimension {n}")
 
 
 def k2_pair_slice() -> TwoVarSlice:
     """K2 over both slice pairings, scannable on the admissible region."""
-    from .kernels import k2_closed_form, k2_values
 
     def restrict(y0: complex) -> SliceFunction:
-        def ev(x):
-            if isinstance(x, Jet1):
-                delta = (1.0 - x - y0) * (1.0 - x - y0) - 4.0 * x * y0
-                num = (3.0 * (1.0 - x - y0) * (1.0 - (x - y0) * (x - y0))
-                       + 8.0 * x * y0)
-                return (2.0 / math.pi ** 2) * num * jet_rpow(delta, -3.0)
-            return k2_closed_form(complex(x), y0).value
-
-        return SliceFunction(eval=ev, description=f"k2 at second pairing {y0}")
+        return SliceFunction(eval=lambda x: k2_values(x, y0),
+                             description=f"k2 at second pairing {y0}")
 
     return TwoVarSlice(eval_many=k2_values, description="k2 pair slice",
                        restrict_x=restrict)
@@ -151,14 +118,9 @@ def k2_pair_slice() -> TwoVarSlice:
 
 def k2_axis_slice() -> SliceFunction:
     """K2 on the axis: (6/pi^2) (1+x) / (1-x)^4, zero only at the boundary."""
-
-    def ev(x):
-        if isinstance(x, Jet1):
-            return (6.0 / math.pi ** 2) * (1.0 + x) * jet_rpow(1.0 - x, -4.0)
-        x = complex(x)
-        return (6.0 / math.pi ** 2) * (1.0 + x) / (1.0 - x) ** 4
-
-    return SliceFunction(eval=ev, description="k2 axis slice")
+    return SliceFunction(
+        eval=lambda x: (6.0 / math.pi ** 2) * (1.0 + x) / (1.0 - x) ** 4.0,
+        description="k2 axis slice")
 
 
 def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> complex:
@@ -211,6 +173,16 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     raise NoConvergence("winding sum did not settle to an integer")
 
 
+def _zero_report(slc: SliceFunction, locs: list[complex], radius: float,
+                 method: str, min_modulus: float | None) -> ZeroReport:
+    """The zeros at locs, sorted, each with its residual |f|, against the
+    argument-principle count on |t| = 0.999."""
+    zeros = tuple(sorted((Zero(q, abs(slc.eval(q))) for q in locs),
+                         key=lambda z: (z.location.real, z.location.imag)))
+    return ZeroReport(zeros=zeros, count_by_winding=count_zeros_winding(slc, 0.999),
+                      search_radius=radius, method=method, min_modulus=min_modulus)
+
+
 def axis1_zero_locus(p: float) -> ZeroReport:
     """Zeros of the axis-1 slice in the unit disc: x with (1+x)^(p+2) = (1-x)^(p+2).
 
@@ -235,14 +207,7 @@ def axis1_zero_locus(p: float) -> ZeroReport:
         else:
             locs.extend([1j * s, -1j * s])
         k += 1
-    zeros = tuple(sorted(
-        (Zero(loc, abs(slc.eval(loc))) for loc in locs),
-        key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(
-        zeros=zeros,
-        count_by_winding=count_zeros_winding(slc, 0.999),
-        search_radius=0.999,
-        method="closed_form" if is_int else "newton")
+    return _zero_report(slc, locs, 0.999, "closed_form" if is_int else "newton", None)
 
 
 def _bisect_arctan(p: float, k: int) -> float:
@@ -261,9 +226,7 @@ def axis2_zero_locus(p: float) -> ZeroReport:
     """Zeros in y of the axis-2 slice: the numerator quadratic inside |y| < 1."""
     if p <= 0:
         raise PreconditionViolated(f"exponent must be positive, got {p}")
-    a = p * p - 3.0 * p + 2.0
-    b = 4.0 * (p * p - 1.0)
-    c = p * p + 3.0 * p + 2.0
+    a, b, c = _axis2_coefficients(p)
     locs: list[complex] = []
     if abs(a) < 1e-12:
         if abs(b) > 1e-12:
@@ -272,15 +235,7 @@ def axis2_zero_locus(p: float) -> ZeroReport:
         disc = cmath.sqrt(b * b - 4.0 * a * c)
         locs.extend([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
     locs = [y for y in locs if abs(y) < 1.0]
-    slc = axis2_slice(p)
-    zeros = tuple(sorted(
-        (Zero(y, abs(axis_limit_kernel(p, y))) for y in locs),
-        key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(
-        zeros=zeros,
-        count_by_winding=count_zeros_winding(slc, 0.999),
-        search_radius=0.999,
-        method="closed_form")
+    return _zero_report(axis2_slice(p), locs, 0.999, "closed_form", None)
 
 
 def k2_interior_positivity(x: complex, y: complex) -> bool:
@@ -297,9 +252,8 @@ def k2_interior_positivity(x: complex, y: complex) -> bool:
     m = 1.0 - ax - ay
     if not 4.0 * ax * ay < m * m:
         return False
-    num = (2.0 / math.pi ** 2) * (3.0 * (1.0 - x - y) * (1.0 - (x - y) ** 2)
-                                  + 8.0 * x * y)
-    return abs(num) > (2.0 / math.pi ** 2) * m * m
+    num, _ = _k2_terms(x, y)
+    return abs((2.0 / math.pi ** 2) * num) > (2.0 / math.pi ** 2) * m * m
 
 
 def grid_zero_scan(slc, resolution: int, tol: float = 1e-9,
@@ -332,15 +286,7 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9,
                 continue
             if abs(root) <= 0.999 and all(abs(root - q) > 1e-8 for q in roots):
                 roots.append(root)
-    zeros = tuple(sorted(
-        (Zero(q, abs(slc.eval(q))) for q in roots),
-        key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(
-        zeros=zeros,
-        count_by_winding=count_zeros_winding(slc, 0.999),
-        search_radius=rmax,
-        method="newton",
-        min_modulus=min_mod)
+    return _zero_report(slc, roots, rmax, "newton", min_mod)
 
 
 def _is_local_min(mods: list[list[float]], i: int, j: int) -> bool:

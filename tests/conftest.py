@@ -1,4 +1,11 @@
+import os
 import sys
+
+# pyproject's pytest ``pythonpath`` reaches this process only; the tests that
+# start ``python -m bergman`` need the source tree on PYTHONPATH as well
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -317,3 +317,50 @@ def test_console_invocation_round_trip():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert rec["winding_count"] == 2
+
+
+# ------------------------------------------------------------- bad inputs
+
+# Each row exits with its code and an "error:" line, never a traceback.  The
+# rows run in a child process capped at 1 GiB of address space, so a sweep
+# grid that were built before its size is checked fails the row with a
+# MemoryError instead of exhausting the machine.
+BAD_INPUTS = [
+    ("nan-coordinate", ["eval", "--domain", D22, "--z", "nan,0"], 3),
+    ("nan-imaginary-w",
+     ["eval", "--domain", D22, "--z", "0.1,0.2", "--w", "0.1,nanj"], 3),
+    ("nan-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":NaN}]}', "--z", "0"], 2),
+    ("inf-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":Infinity}]}', "--z", "0"], 2),
+    ("out-missing-dir",
+     ["eval", "--domain", D22, "--z", "0.1,0.2", "--out", "{missing}/out.json"], 2),
+    ("no-evaluator", ["eval", "--domain", '{"blocks":[{"dim":2,"p":2},{"dim":1,"p":3}]}',
+                      "--z", "0.1,0.1,0.1"], 2),
+    ("locus-negative-p", ["locus", "--family", "axis1", "--p", "-1"], 2),
+    ("locus-nan-p", ["locus", "--family", "axis2", "--p", "nan"], 2),
+    ("zeros-inf-p", ["zeros", "--family", "axis1", "--p", "inf"], 2),
+    ("simplex-n1", ["zeros", "--family", "simplex", "--n", "1"], 2),
+    ("mixed-n0", ["zeros", "--family", "mixed", "--n", "0"], 2),
+    ("locus-res0", ["locus", "--family", "axis2", "--p", "3", "--res", "0"], 2),
+    ("locus-k2-res0", ["locus", "--family", "k2", "--res", "0"], 2),
+    ("sweep-p-zero", ["sweep", "--family", "axis1", "--p1", "0..2"], 2),
+    ("sweep-n-zero", ["sweep", "--family", "simplex", "--n", "0..3"], 2),
+    ("sweep-cap", ["sweep", "--family", "axis1", "--p1", "1..1e9"], 2),
+    ("sweep-inf-bound", ["sweep", "--family", "axis1", "--p1", "1..inf"], 2),
+]
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,code", [row[1:] for row in BAD_INPUTS],
+                         ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_exit_codes(argv, code, tmp_path):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "bergman"] + argv,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stdout == ""

@@ -36,11 +36,13 @@ def run(argv):
                          ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(ENTRIES)])
 def test_golden_cli(entry, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
+    monkeypatch.delenv("BERGMAN_SEED", raising=False)
     assert run(entry["argv"]) == entry
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
+    os.environ.pop("BERGMAN_SEED", None)
     with open(CORPUS, "w") as handle:
         json.dump([run(e["argv"]) for e in ENTRIES], handle, indent=1)
         handle.write("\n")

@@ -131,6 +131,17 @@ def test_rpow_integer_matches_repeated_mul():
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
 
 
+def test_pow_operator_routes_by_exponent():
+    # a real exponent goes through jet_rpow; a whole int multiplies out
+    a = j(0.7 + 0.2j, 0.3 - 0.1j, 0.05j, -0.02, center=0.3 - 0.2j)
+    for r in (-4.0, -3, -0.5, 0.5, 2.5, 4.0):
+        assert (a ** r).coeffs == jet_rpow(a, float(r)).coeffs
+    prod = jet1_const(1.0, a.order, a.center)
+    for n in range(4):
+        assert (a ** n).coeffs == prod.coeffs
+        prod = prod * a
+
+
 def _random_center(rng, p, guard=0.6):
     """Center (t0, u0) with |t0|,|u0| <= 0.5, pole distance >= guard.
 

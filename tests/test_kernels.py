@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from bergman.domains import Block, DomainSpec, diagonal_domain
 from bergman.errors import (
     InvalidOrder,
     NonIntegerFold,
     OutsideDomain,
     PoleHit,
+    UnsupportedDomain,
 )
 from bergman.jets import jet1_const, jet1_variable
 from bergman.kernels import (
@@ -20,6 +22,7 @@ from bergman.kernels import (
     deflation_constant,
     disc_kernel_values,
     disc_profile,
+    evaluate,
     fold,
     general_folded_kernel,
     hartogs2_kernel,
@@ -514,3 +517,45 @@ def test_slice_values_vectorized_includes_small_roots():
         for i, (x, y) in enumerate(zip(xs, ys)):
             want = slice_kernel_kp(p, x, y).value
             assert abs(got[i] - want) <= 1e-10 * max(1e-30, abs(want))
+
+
+# ---------------------------------------------------------------- evaluate
+
+# (domain, z, w, route tag, the route's own evaluator at (z, w))
+ROUTES = [
+    (DomainSpec((Block(2, 1.0),)), (0.1 + 0.2j, 0.3), (0.2, -0.1j), "ball",
+     lambda z, w: ball_kernel(2, z, w)),
+    (DomainSpec((Block(1, 2.0), Block(2, 1.0))), (0.3, 0.2, 0.1j), (0.2j, 0.1, 0.3),
+     "mixed_family", lambda z, w: mixed_family_kernel(3, z, w)),
+    (DomainSpec((Block(2, 1.0), Block(1, 2.5))), (0.2, 0.1j, 0.3), (0.1, 0.2, -0.2j),
+     "pflate", lambda z, w: pflate_kernel(2, 1, 2.5, z[:2], z[2:], w[:2], w[2:])),
+    (diagonal_domain(2.0, 2.0), (0.3 + 0.1j, 0.2), (0.1, 0.4j), "k2_closed",
+     lambda z, w: k2_closed_form(z[0] * w[0].conjugate(), z[1] * w[1].conjugate())),
+    (diagonal_domain(2.0, 4.5), (0.3, 0.2 - 0.2j), (0.1, 0.4j), "slice_kp",
+     lambda z, w: slice_kernel_kp(4.5, z[0] * w[0].conjugate(), z[1] * w[1].conjugate())),
+    (diagonal_domain(4.5, 2.0), (0.2 - 0.2j, 0.3), (0.4j, 0.1), "slice_kp",
+     lambda z, w: slice_kernel_kp(4.5, z[1] * w[1].conjugate(), z[0] * w[0].conjugate())),
+    (diagonal_domain(1.0, 3.5), (0.3, 0.2j), (0.1j, 0.25), "hartogs2",
+     lambda z, w: hartogs2_kernel(3.5, z[0], z[1], w[0], w[1])),
+    (diagonal_domain(3.5, 1.0), (0.2j, 0.3), (0.25, 0.1j), "hartogs2",
+     lambda z, w: hartogs2_kernel(3.5, z[1], z[0], w[1], w[0])),
+    (diagonal_domain(2.0, 2.0, 2.5), (0.2, 0.3j, 0.1), (0.1j, 0.2, 0.3), "folded",
+     lambda z, w: general_folded_kernel([2, 2], 2.5, KernelPoint(z, w))),
+    (diagonal_domain(2.5, 2.0, 2.0), (0.1, 0.2, 0.1j), (0.2, 0.1j, 0.1), "series_oracle",
+     None),
+]
+
+
+@pytest.mark.parametrize("d,z,w,tag,direct", ROUTES,
+                         ids=[f"{r[3]}-{i}" for i, r in enumerate(ROUTES)])
+def test_evaluate_routes(d, z, w, tag, direct):
+    kv = evaluate(d, z, w)
+    assert kv.formula == tag
+    if direct is not None:
+        assert kv == direct(z, w)
+
+
+def test_evaluate_rejects_unsupported_structure():
+    d = DomainSpec((Block(2, 2.0), Block(1, 3.0)))
+    with pytest.raises(UnsupportedDomain):
+        evaluate(d, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1))

@@ -26,7 +26,6 @@ from bergman.oracle import (
     poly_eval,
     reproducing_check,
     series_kernel,
-    volume_exact,
 )
 
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -300,11 +299,6 @@ def test_poly_eval_matches_hand_expansion():
         w1, w2 = pts[i]
         want = 1.0 + 2.0j * w1 * w2 ** 2
         assert abs(got[i] - want) <= 1e-14
-
-
-def test_volume_exact_is_gamma_volume():
-    for d in CATALOG:
-        assert volume_exact(d) == volume(d)
 
 
 def test_ball_values_against_series_free_formula():
