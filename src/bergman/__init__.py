@@ -85,6 +85,7 @@ from .zeros import (
     k2_pair_slice,
     mixed_slice,
     newton_refine,
+    odd_quotient_zero_locus,
     simplex_slice,
 )
 
@@ -110,6 +111,6 @@ __all__ = [
     "axis1_zero_locus", "axis2_slice", "axis2_zero_locus",
     "count_zeros_winding", "grid_zero_scan", "k2_axis_slice",
     "k2_interior_positivity", "k2_pair_slice", "mixed_slice", "newton_refine",
-    "simplex_slice",
+    "odd_quotient_zero_locus", "simplex_slice",
     "__version__",
 ]

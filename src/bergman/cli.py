@@ -1,8 +1,9 @@
 """Command-line front end: evaluate kernels, locate zeros, emit grids, verify.
 
 Commands and exit codes follow a fixed table: 0 success, 2 argument or
-parse problems, 3 point outside the domain, 4 zero-predicate mismatch,
-5 verification failure.  All numeric output is printed with 17 significant
+parse problems, 3 point outside the domain, 4 a zero count by winding that
+differs from the zeros found, or zeros against the family's predicate, 5
+verification failure.  All numeric output is printed with 17 significant
 digits so values round-trip through text exactly; files are written to a
 temporary name and renamed, so a failed run never leaves partial output.
 """
@@ -52,13 +53,14 @@ from .kernels import (
 )
 from .oracle import SeriesConfig, reproducing_check, series_kernel
 from .zeros import (
+    ODD_QUOTIENTS,
     axis1_slice,
-    axis1_zero_locus,
     axis2_slice,
     axis2_zero_locus,
     grid_zero_scan,
     k2_pair_slice,
     mixed_slice,
+    odd_quotient_zero_locus,
     simplex_slice,
 )
 
@@ -177,15 +179,26 @@ def _parse_range(text: str, label: str) -> list[float]:
 
 # --------------------------------------------------------------- families
 
-# family -> (parameter, slice at a parameter value, does the family have
-# zeros at that value); k2 takes no parameter.  The lambdas look the
-# constructors up at call time, so a rebound module attribute is seen.
+def _odd_family(fam: str, param: str, make) -> tuple:
+    """Table entry of an odd-quotient family: closed-form zeros, iff m > 4."""
+    m, scale = ODD_QUOTIENTS[fam]
+    return (param, make, lambda v, _: odd_quotient_zero_locus(m(v), scale(v)),
+            lambda v: m(v) > 4.0)
+
+
+# family -> (parameter, slice at a parameter value, zero report at a value
+# and the zeros arguments, does the family have zeros at that value); k2
+# takes no parameter.  The lambdas look the constructors up at call time, so
+# a rebound module attribute is seen.
 _FAMILIES = {
-    "axis1": ("p", lambda p: axis1_slice(p), lambda p: p > 2.0),
-    "axis2": ("p", lambda p: axis2_slice(p), lambda p: p > 2.0),
-    "simplex": ("n", lambda n: simplex_slice(n), lambda n: n >= 3),
-    "mixed": ("n", lambda n: mixed_slice(n), lambda n: n >= 4),
-    "k2": (None, lambda _: k2_pair_slice(), lambda _: False),
+    "axis1": _odd_family("axis1", "p", lambda p: axis1_slice(p)),
+    "axis2": ("p", lambda p: axis2_slice(p), lambda p, _: axis2_zero_locus(p),
+              lambda p: p > 2.0),
+    "simplex": _odd_family("simplex", "n", lambda n: simplex_slice(n)),
+    "mixed": _odd_family("mixed", "n", lambda n: mixed_slice(n)),
+    "k2": (None, lambda _: k2_pair_slice(),
+           lambda _, args: grid_zero_scan(k2_pair_slice(), args.res, tol=args.tol),
+           lambda _: False),
 }
 
 
@@ -193,12 +206,12 @@ def _family(fam: str, args):
     """Table entry of fam and its parameter value from --p or --n, checked."""
     if fam not in _FAMILIES:
         raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
-    param, make, zeroed = _FAMILIES[fam]
-    if param is None:
-        return param, make, zeroed, None
-    value = getattr(args, param)
-    (value,) = _family_values(fam, param, None if value is None else [value])
-    return param, make, zeroed, value
+    entry = _FAMILIES[fam]
+    if entry[0] is None:
+        return entry + (None,)
+    value = getattr(args, entry[0])
+    (value,) = _family_values(fam, entry[0], None if value is None else [value])
+    return entry + (value,)
 
 
 def _family_values(fam: str, flag: str, values: list | None) -> list:
@@ -261,28 +274,19 @@ def _read_domain_arg(text: str) -> str:
 # ------------------------------------------------------------------- zeros
 
 
-def _zeros_report(args):
-    fam = args.family
-    param, make, zeroed, value = _family(fam, args)
-    if fam == "axis1":
-        rep = axis1_zero_locus(value)
-    elif fam == "axis2":
-        rep = axis2_zero_locus(value)
-    else:
-        rep = grid_zero_scan(make(value), args.res, tol=args.tol)
-    return rep, zeroed(value), {} if param is None else {param: value}
-
-
 def _cmd_zeros(args) -> int:
-    rep, predicate, params = _zeros_report(args)
+    param, _, report, predicate, value = _family(args.family, args)
+    rep = report(value, args)
     zeroed = len(rep.zeros) > 0
     record = {"command": "zeros", "family": args.family}
-    record.update(params)
+    if param is not None:
+        record[param] = value
     record.update(rep.to_json_dict())
     record["zeroed"] = zeroed
-    record["predicate_zeroed"] = predicate
+    record["predicate_zeroed"] = predicate(value)
     _emit(_to_json(record) + "\n", args.out)
-    return EXIT_OK if zeroed == predicate else EXIT_MISMATCH
+    certified = rep.count_by_winding == len(rep.zeros)
+    return EXIT_OK if certified and zeroed == predicate(value) else EXIT_MISMATCH
 
 
 # ------------------------------------------------------------------- locus
@@ -292,10 +296,10 @@ def _locus_rows(args):
     """Rows (x, y, K) over the family's slice grid, row-major, deterministic."""
     fam = args.family
     res = args.res
-    _, make, _, value = _family(fam, args)
+    _, make, _, _, value = _family(fam, args)
     if res < 1:
         raise _Usage(f"--res must be >= 1, got {res}")
-    if fam in ("axis1", "simplex", "mixed"):
+    if fam in ODD_QUOTIENTS:
         slc = make(value)
         side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
         for re_t in side:
@@ -337,36 +341,26 @@ def _cmd_locus(args) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-def _sweep_status(slc, res: int, tol: float) -> str:
-    try:
-        rep = grid_zero_scan(slc, res, tol=tol)
-    except (NoConvergence, ContourThroughZero):
-        return "unknown"
-    return "zeroed" if rep.zeros else "zero-free"
-
-
 def _cmd_sweep(args) -> int:
     fam = args.family
-    res = args.res
-    tol = args.tol if args.tol is not None else 1e-9
-    if fam not in ("axis1", "simplex", "mixed"):
-        raise _Usage(f"sweep supports axis1, simplex, mixed; got {fam!r}")
-    make = _FAMILIES[fam][1]
+    if fam not in ODD_QUOTIENTS:
+        raise _Usage(f"sweep supports {', '.join(ODD_QUOTIENTS)}; got {fam!r}")
+    param, _, _, zeroed = _FAMILIES[fam]
+    status = {True: "zeroed", False: "zero-free"}
     lines = []
-    if fam == "axis1":
+    if param == "p":
         p1s = _family_values(fam, "p1", args.p1 and _parse_range(" ".join(args.p1), "p1"))
         p2s = _parse_range(" ".join(args.p2), "p2") if args.p2 else [1.0]
         lines.append("p1,p2,status")
         for p1 in p1s:
             for p2 in p2s:
-                status = _sweep_status(make(p1), res, tol)
-                lines.append(f"{_fmt(p1)},{_fmt(p2)},{status}")
+                lines.append(f"{_fmt(p1)},{_fmt(p2)},{status[zeroed(p1)]}")
     else:
         ns = _family_values(fam, "n", args.n and [
             int(round(v)) for v in _parse_range(" ".join(args.n), "n")])
         lines.append("n,status")
         for n in ns:
-            lines.append(f"{n},{_sweep_status(make(n), res, tol)}")
+            lines.append(f"{n},{status[zeroed(n)]}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -567,7 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grid: A..B, A..B:STEP, N, or fixed N")
     p.add_argument("--p2", nargs="+", default=None)
     p.add_argument("--n", nargs="+", default=None)
-    p.add_argument("--res", type=int, default=32)
     common(p, "csv")
 
     return parser
@@ -619,6 +612,9 @@ def main(argv=None) -> int:
         return EXIT_OUTSIDE
     except (NoConvergence, PreconditionViolated, ContourThroughZero) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as e:
+        print(f"error: floating-point overflow ({e})", file=sys.stderr)
         return EXIT_USAGE
 
 

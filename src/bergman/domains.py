@@ -93,10 +93,6 @@ class MultiIndex:
 
     entries: tuple[int, ...]
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.entries)
-
 
 def _entries(alpha) -> tuple[int, ...]:
     if isinstance(alpha, MultiIndex):
@@ -107,9 +103,10 @@ def _entries(alpha) -> tuple[int, ...]:
 def parse_domain_spec(text) -> DomainSpec:
     """Parse the JSON domain description {"blocks":[{"dim":int,"p":number},...]}.
 
-    Accepts a JSON string or an already-decoded dict.  Structural problems
-    raise SchemaError with the offending field path; nonpositive dim or p,
-    and non-finite p, raise ValueError.
+    Accepts a JSON string or an already-decoded dict.  Structural problems,
+    an integer p too large for a float among them, raise SchemaError with the
+    offending field path; nonpositive dim or p, and non-finite p, raise
+    ValueError.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -143,9 +140,13 @@ def parse_domain_spec(text) -> DomainSpec:
             raise ValueError(f"{path}.dim must be positive, got {dim}")
         if p <= 0:
             raise ValueError(f"{path}.p must be positive, got {p}")
+        try:
+            p = float(p)
+        except OverflowError:
+            raise SchemaError(f"{path}.p", "integer too large for a float") from None
         if not math.isfinite(p):
             raise ValueError(f"{path}.p must be finite, got {p}")
-        out.append(Block(dim, float(p)))
+        out.append(Block(dim, p))
     return DomainSpec(tuple(out))
 
 

@@ -58,7 +58,7 @@ class ContourThroughZero(BergmanError):
 
 
 class NoConvergence(BergmanError):
-    """An iteration (series, Newton, bisection) failed to reach its tolerance."""
+    """An iteration (series, Newton, winding sum) failed to reach its tolerance."""
 
 
 class PreconditionViolated(BergmanError):

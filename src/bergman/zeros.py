@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ContourThroughZero, NoConvergence, PreconditionViolated
 from .jets import Jet1, jet1_variable
@@ -76,11 +76,25 @@ class TwoVarSlice:
     restrict_x: Callable[[complex], SliceFunction] | None = None
 
 
+# m and scale, each at the family's parameter, of the families whose slice
+# is the odd quotient scale * [(1 - t)^-m - (1 + t)^-m] / (4t)
+ODD_QUOTIENTS = {
+    "axis1": (lambda p: p + 2.0, lambda p: (p + 1.0) / math.pi ** 2),
+    "simplex": (lambda n: 2.0 * n, lambda n: simplex_restriction_constant(n)
+                * (2.0 * n - 1.0) / math.pi ** 2),
+    "mixed": (lambda n: n + 1.0, lambda n: math.factorial(n) / math.pi ** n),
+}
+
+
+def _odd_quotient_slice(m: float, scale: float, description: str) -> SliceFunction:
+    return SliceFunction(eval=lambda t: _odd_quotient(1.0, m, scale, t),
+                         description=description)
+
+
 def axis1_slice(p: float) -> SliceFunction:
     """K restricted to the second slice variable = 0, in the root variable."""
-    return SliceFunction(
-        eval=lambda t: _odd_quotient(1.0, p + 2.0, (p + 1.0) / math.pi ** 2, t),
-        description=f"axis-1 slice, fiber exponent {p}")
+    m, scale = ODD_QUOTIENTS["axis1"]
+    return _odd_quotient_slice(m(p), scale(p), f"axis-1 slice, fiber exponent {p}")
 
 
 def axis2_slice(p: float) -> SliceFunction:
@@ -91,18 +105,14 @@ def axis2_slice(p: float) -> SliceFunction:
 
 def mixed_slice(n: int) -> SliceFunction:
     """The t'=0 restriction of the mixed-family kernel in the root variable."""
-    return SliceFunction(
-        eval=lambda t: _odd_quotient(1.0, n + 1.0, math.factorial(n) / math.pi ** n, t),
-        description=f"mixed family slice, dimension {n}")
+    m, scale = ODD_QUOTIENTS["mixed"]
+    return _odd_quotient_slice(m(n), scale(n), f"mixed family slice, dimension {n}")
 
 
 def simplex_slice(n: int) -> SliceFunction:
     """The one-coordinate restriction of the C^n simplex-norm kernel."""
-    cn = simplex_restriction_constant(n)
-    p = 2.0 * n - 2.0
-    return SliceFunction(
-        eval=lambda t: _odd_quotient(1.0, p + 2.0, cn * (p + 1.0) / math.pi ** 2, t),
-        description=f"simplex-norm slice, dimension {n}")
+    m, scale = ODD_QUOTIENTS["simplex"]
+    return _odd_quotient_slice(m(n), scale(n), f"simplex-norm slice, dimension {n}")
 
 
 def k2_pair_slice() -> TwoVarSlice:
@@ -165,6 +175,8 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
             jet = f.eval(jet1_variable(t, 1))
             acc += jet.coeffs[1] / jet.coeffs[0] * t
         w = acc / m
+        if not cmath.isfinite(w):
+            raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {r}")
         nearest = round(w.real)
         if abs(w - nearest) < 1e-3 and prev == nearest:
             return int(nearest)
@@ -173,53 +185,40 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     raise NoConvergence("winding sum did not settle to an integer")
 
 
-def _zero_report(slc: SliceFunction, locs: list[complex], radius: float,
+def _zero_report(slc: SliceFunction, locs: Iterable[complex], radius: float,
                  method: str, min_modulus: float | None) -> ZeroReport:
     """The zeros at locs, sorted, each with its residual |f|, against the
     argument-principle count on |t| = 0.999."""
+    # counted first: a slice that overflows on the contour never starts locs
+    count = count_zeros_winding(slc, 0.999)
     zeros = tuple(sorted((Zero(q, abs(slc.eval(q))) for q in locs),
                          key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(zeros=zeros, count_by_winding=count_zeros_winding(slc, 0.999),
+    return ZeroReport(zeros=zeros, count_by_winding=count,
                       search_radius=radius, method=method, min_modulus=min_modulus)
 
 
-def axis1_zero_locus(p: float) -> ZeroReport:
-    """Zeros of the axis-1 slice in the unit disc: x with (1+x)^(p+2) = (1-x)^(p+2).
+def odd_quotient_zero_locus(m: float, scale: float) -> ZeroReport:
+    """Zeros in the unit disc of scale * [(1 - t)^-m - (1 + t)^-m] / (4t).
 
-    On the imaginary axis the equation reduces to (p+2) arctan(s) = pi k, so
-    the roots are x = +-i tan(pi k/(p+2)) for 1 <= k < (p+2)/4; nonempty
-    exactly when p > 2.  Integer p reports the closed form; non-integer p
-    re-derives each root by bisection on the arctan equation plus a Newton
-    polish on the slice itself.
+    They solve ((1 - t)/(1 + t))^m = 1 with 1 +- t in the right half-plane,
+    so they are exactly t = +-i tan(pi k/m) for 1 <= k < m/4: nonempty iff
+    m > 4.
     """
+    if not m > 0.0:
+        raise PreconditionViolated(f"exponent m must be positive, got {m}")
+    tans = (math.tan(math.pi * k / m) for k in range(1, math.ceil(m / 4.0)))
+    locs = (z for s in tans for z in (1j * s, -1j * s))
+    return _zero_report(_odd_quotient_slice(m, scale, f"odd quotient, m = {m}"),
+                        locs, 0.999, "closed_form", None)
+
+
+def axis1_zero_locus(p: float) -> ZeroReport:
+    """Zeros of the axis-1 slice in the unit disc: x = +-i tan(pi k/(p+2))
+    for 1 <= k < (p+2)/4, nonempty exactly when p > 2."""
     if p <= 0:
         raise PreconditionViolated(f"exponent must be positive, got {p}")
-    slc = axis1_slice(p)
-    is_int = abs(p - round(p)) < 1e-12
-    locs: list[complex] = []
-    k = 1
-    while k < (p + 2.0) / 4.0 - 1e-12:
-        s = math.tan(math.pi * k / (p + 2.0))
-        if not is_int:
-            s = _bisect_arctan(p, k)
-            root = newton_refine(slc, 1j * s, tol=1e-13)
-            locs.extend([root, root.conjugate()])
-        else:
-            locs.extend([1j * s, -1j * s])
-        k += 1
-    return _zero_report(slc, locs, 0.999, "closed_form" if is_int else "newton", None)
-
-
-def _bisect_arctan(p: float, k: int) -> float:
-    # (p+2) arctan(s) - pi k is increasing in s on (0, 1)
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if (p + 2.0) * math.atan(mid) - math.pi * k < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    m, scale = ODD_QUOTIENTS["axis1"]
+    return odd_quotient_zero_locus(m(p), scale(p))
 
 
 def axis2_zero_locus(p: float) -> ZeroReport:

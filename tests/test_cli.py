@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bergman.cli import _build_parser, main
+from bergman.cli import _FAMILIES, _build_parser, main
 
 SQ3 = 1.0 / math.sqrt(3.0)
 D22 = '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2}]}'
@@ -157,11 +157,34 @@ def test_zeros_bad_family_exit_2(capsys):
 
 
 def test_zeros_uncertifiable_tolerance_exit_4(capsys):
-    # a tolerance below float precision defeats certification, so the scan
-    # reports no zeros and the simplex predicate (n >= 3) is contradicted
-    code = main(["zeros", "--family", "simplex", "--n", "3", "--tol", "1e-30"])
-    capsys.readouterr()
+    # two of the 16 zeros at p = 30.02 lie beyond the winding contour, so the
+    # count (14) disagrees with the zeros printed
+    code, rec = run_json(capsys, ["zeros", "--family", "axis1", "--p", "30.02"])
     assert code == 4
+    assert (len(rec["zeros"]), rec["winding_count"]) == (16, 14)
+
+
+@pytest.mark.parametrize("family,n,m", [
+    ("simplex", 9, 18), ("simplex", 13, 26), ("mixed", 20, 21), ("mixed", 40, 41)])
+def test_zeros_odd_quotient_formula(capsys, family, n, m):
+    # the slice's constant grows like n!/pi^n, so no absolute |f| threshold
+    # finds these zeros; they are +-i tan(pi k/m) for 1 <= k < m/4
+    code, rec = run_json(capsys, ["zeros", "--family", family, "--n", str(n)])
+    assert code == 0
+    tans = [math.tan(math.pi * k / m) for k in range(1, m) if k < m / 4]
+    assert [z["im"] for z in rec["zeros"]] == sorted(tans + [-s for s in tans])
+    assert all(z["re"] == 0.0 for z in rec["zeros"])
+    assert rec["winding_count"] == len(rec["zeros"])
+
+
+def test_odd_quotient_predicate_is_paper_threshold():
+    # m > 4 with m = p + 2, 2n and n + 1: p > 2, n >= 3 and n >= 4
+    zeroed = {fam: _FAMILIES[fam][3] for fam in ("axis1", "simplex", "mixed")}
+    for p in (k / 8.0 for k in range(1, 321)):
+        assert zeroed["axis1"](p) == (p > 2.0), p
+    for n in range(2, 101):
+        assert zeroed["simplex"](n) == (n >= 3), n
+        assert zeroed["mixed"](n) == (n >= 4), n
 
 
 # ------------------------------------------------------------------- locus
@@ -346,6 +369,12 @@ BAD_INPUTS = [
     ("sweep-n-zero", ["sweep", "--family", "simplex", "--n", "0..3"], 2),
     ("sweep-cap", ["sweep", "--family", "axis1", "--p1", "1..1e9"], 2),
     ("sweep-inf-bound", ["sweep", "--family", "axis1", "--p1", "1..inf"], 2),
+    ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
+                    "--z", "0"], 2),
+    ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),
+    ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
+    ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
+    ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
 ]
 
 

@@ -183,6 +183,12 @@ def test_winding_rejects_bad_radius():
         count_zeros_winding(f, 0.0)
 
 
+def test_winding_non_finite_sum():
+    # the n = 40 simplex slice overflows to inf near t = +-0.999
+    with pytest.raises(NoConvergence, match="not finite"):
+        count_zeros_winding(simplex_slice(40), 0.999)
+
+
 def test_winding_contour_through_zero():
     # uniformly tiny modulus defeats every radius perturbation
     f = SliceFunction(eval=lambda t: 1e-9 + 0.0 * t, description="tiny")
@@ -236,7 +242,7 @@ def test_axis1_locus_counts_match_winding_through_p12():
 
 def test_axis1_locus_non_integer():
     rep = axis1_zero_locus(3.5)
-    assert rep.method == "newton"
+    assert rep.method == "closed_form"
     locs = sorted(z.location.imag for z in rep.zeros)
     want = math.tan(math.pi / 5.5)
     assert locs == pytest.approx([-want, want], abs=1e-10)
