@@ -1,11 +1,12 @@
 """Command-line front end: evaluate kernels, locate zeros, emit grids, verify.
 
 Commands and exit codes follow a fixed table: 0 success, 2 argument or
-parse problems, 3 point outside the domain, 4 a zero count by winding that
-differs from the zeros found, or zeros against the family's predicate, 5
-verification failure.  All numeric output is printed with 17 significant
-digits so values round-trip through text exactly; files are written to a
-temporary name and renamed, so a failed run never leaves partial output.
+parse problems, 3 point outside the domain, 4 a zero report that fails a
+check (its winding count differs from its number of zeros, or its zeros
+contradict the family's predicate), 5 verification failure.  All numeric
+output is printed with 17 significant digits so values round-trip through
+text exactly; files are written to a temporary name and renamed, so a
+failed run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -285,8 +286,9 @@ def _cmd_zeros(args) -> int:
     record["zeroed"] = zeroed
     record["predicate_zeroed"] = predicate(value)
     _emit(_to_json(record) + "\n", args.out)
-    certified = rep.count_by_winding == len(rep.zeros)
-    return EXIT_OK if certified and zeroed == predicate(value) else EXIT_MISMATCH
+    certified = (rep.count_by_winding == len(rep.zeros)
+                 and zeroed == record["predicate_zeroed"])
+    return EXIT_OK if certified else EXIT_MISMATCH
 
 
 # ------------------------------------------------------------------- locus
