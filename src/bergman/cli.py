@@ -75,6 +75,8 @@ _LOCUS_SPAN = 0.95
 _K2_GRID_MARGIN = 0.12
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
+# the one output format of each command that has only one
+_EMITS = {"zeros": "json", "locus": "csv", "sweep": "csv"}
 
 
 class _Usage(Exception):
@@ -330,8 +332,6 @@ def _locus_rows(args):
 
 
 def _cmd_locus(args) -> int:
-    if args.format == "json":
-        raise _Usage("locus emits CSV; drop --format json")
     lines = ["re_x,im_x,re_y,im_y,re_K,im_K,abs_K"]
     for x, y, k in _locus_rows(args):
         lines.append(",".join(_fmt(v) for v in (
@@ -602,19 +602,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        emits = _EMITS.get(args.command, args.format)
+        if args.format != emits:
+            raise _Usage(f"{args.command} emits {emits.upper()}; "
+                         f"drop --format {args.format}")
         return _HANDLERS[args.command](args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, UnsupportedDomain, ValueError) as e:
+    except (_Usage, SchemaError, UnsupportedDomain, ValueError, NoConvergence,
+            PreconditionViolated, ContourThroughZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OutsideDomain as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OUTSIDE
-    except (NoConvergence, PreconditionViolated, ContourThroughZero) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except OverflowError as e:
         print(f"error: floating-point overflow ({e})", file=sys.stderr)
         return EXIT_USAGE

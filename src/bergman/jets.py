@@ -3,6 +3,9 @@
 Every derivative that appears in a kernel formula is realized by building the
 relevant rational expression in jet arithmetic and reading off a coefficient.
 This is exact up to rounding: no symbolic algebra, no finite differences.
+
+An order-1 Jet1 may hold same-shape numpy arrays, one jet for a batch of points,
+so the winding count runs each slice formula once per block of contour points.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ _ZERO_EPS = 1e-300
 
 @dataclass(frozen=True)
 class Jet1:
-    """Taylor coefficients c_0..c_N of a function of one variable at ``center``."""
+    """Taylor coefficients c_0..c_N of a function of one variable at ``center``;
+    at order 1 these may be numpy arrays (a batch, see the module docstring)
+    whose jets share one center object, so combining them compares no arrays."""
 
     center: complex
     coeffs: tuple[complex, ...]
@@ -59,7 +64,7 @@ class Jet1:
         # jet_rpow, so write a float exponent (x ** 4.0) to take the recurrence
         if not isinstance(n, int) or n < 0:
             return jet_rpow(self, float(n))
-        out = jet1_const(1.0, self.order, self.center)
+        out = _coerce1(1.0, self)
         for _ in range(n):
             out = out * self
         return out
@@ -149,7 +154,7 @@ def jet2_lift_t(a: Jet1, u_center: complex, u_order: int) -> Jet2:
 def _coerce1(value, like: Jet1) -> Jet1:
     if isinstance(value, Jet1):
         return value
-    return jet1_const(value, like.order, like.center)
+    return Jet1(like.center, (complex(value),) + (0j,) * like.order)
 
 
 def _coerce2(value, like: Jet2) -> Jet2:
@@ -159,7 +164,7 @@ def _coerce2(value, like: Jet2) -> Jet2:
 
 
 def _check1(a: Jet1, b: Jet1) -> None:
-    if a.center != b.center or a.order != b.order:
+    if a.order != b.order or (a.center is not b.center and a.center != b.center):
         raise CenterMismatch(
             f"jet mismatch: centers {a.center} vs {b.center}, "
             f"orders {a.order} vs {b.order}")
@@ -170,6 +175,11 @@ def _check2(a: Jet2, b: Jet2) -> None:
         raise CenterMismatch(
             f"jet mismatch: centers {a.center} vs {b.center}, "
             f"orders {a.orders} vs {b.orders}")
+
+
+def _near_zero(c) -> bool:
+    small = abs(c) < _ZERO_EPS  # at any entry, for an array c
+    return small if isinstance(small, bool) else bool(small.any())
 
 
 def _mul1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
@@ -184,7 +194,7 @@ def _mul1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
 
 
 def _div1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
-    if abs(b[0]) < _ZERO_EPS:
+    if _near_zero(b[0]):
         raise DivisionByZeroJet("divisor jet has (numerically) zero constant term")
     n = len(a)
     out = [0j] * n
@@ -258,7 +268,7 @@ def jet_rpow(a: Jet1, r: float) -> Jet1:
     which follows from differentiating b = a^r.
     """
     a0 = a.coeffs[0]
-    if abs(a0) < _ZERO_EPS:
+    if _near_zero(a0):
         raise BranchPointJet("jet constant term sits on the branch point of ^r")
     n = a.order
     out = [0j] * (n + 1)

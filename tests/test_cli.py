@@ -375,6 +375,8 @@ BAD_INPUTS = [
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
     ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
+    ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"], 2),
+    ("sweep-format-json", ["sweep", "--family", "mixed", "--n", "4", "--format", "json"], 2),
 ]
 
 
@@ -393,3 +395,18 @@ def test_bad_input_exit_codes(argv, code, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["zeros", "--family", "mixed", "--n", "4", "--format", "csv"],
+     "error: zeros emits JSON; drop --format csv\n"),
+    (["sweep", "--family", "mixed", "--n", "4", "--format", "json"],
+     "error: sweep emits CSV; drop --format json\n"),
+    (["locus", "--family", "axis2", "--p", "3", "--format", "json"],
+     "error: locus emits CSV; drop --format json\n"),
+])
+def test_single_format_commands_refuse_the_other(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -244,3 +244,44 @@ def test_variable_jet_shape():
     assert t.coeffs == (0.25 + 0.5j, 1, 0, 0)
     assert jet1_variable(1j, 0).coeffs == (1j,)
     assert jet1_const(4.0, 2).coeffs == (4, 0, 0)
+
+
+# ------------------------------------------------------------- array jets
+# An order-1 jet may carry numpy arrays, one jet for a batch of points.
+
+
+def _array_variable(t):
+    return Jet1(t, (t, np.ones_like(t)))
+
+
+def test_array_jet_zero_entry_raises():
+    t = np.array([0.5 + 0.1j, 0j, -0.3j])
+    x = _array_variable(t)
+    with pytest.raises(DivisionByZeroJet):
+        1.0 / x
+    with pytest.raises(DivisionByZeroJet):
+        (1.0 + x) / x
+    with pytest.raises(BranchPointJet):
+        x ** -2.5
+
+
+def test_array_jet_integer_power():
+    t = np.array([0.5 + 0.1j, -0.2 + 0.7j, 0.9, 0j])
+    got = (1.0 - _array_variable(t)) ** 3
+    # numpy's complex product may round differently from Python's in the last bit
+    for k, tk in enumerate(t):
+        want = (1.0 - jet1_variable(complex(tk), 1)) ** 3
+        for c in range(2):
+            assert abs(got.coeffs[c][k] - want.coeffs[c]) <= 1e-15 * abs(want.coeffs[c])
+
+
+def test_array_jet_matches_scalar_jets():
+    t = 0.7 * np.exp(2j * np.pi * np.arange(64) / 64)
+    x = _array_variable(t)
+    got = (2.0 + x * x) / (1.0 - x) ** 4.0 - 3.0 * (x + 0.5j) ** -1.5
+    assert got.center is t
+    for k, tk in enumerate(t):
+        s = jet1_variable(complex(tk), 1)
+        want = (2.0 + s * s) / (1.0 - s) ** 4.0 - 3.0 * (s + 0.5j) ** -1.5
+        for c in range(2):
+            assert abs(got.coeffs[c][k] - want.coeffs[c]) <= 1e-13 * abs(want.coeffs[c])

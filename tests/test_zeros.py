@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bergman.errors import (
     NoConvergence,
     PreconditionViolated,
 )
-from bergman.jets import jet1_variable, jet_rpow
+from bergman.jets import Jet1, jet1_variable, jet_rpow
 from bergman.kernels import (
     axis_limit_kernel,
     k2_closed_form,
@@ -187,6 +188,63 @@ def test_winding_non_finite_sum():
     # the n = 40 simplex slice overflows to inf near t = +-0.999
     with pytest.raises(NoConvergence, match="not finite"):
         count_zeros_winding(simplex_slice(40), 0.999)
+
+
+def test_winding_non_finite_sum_warns_nothing():
+    # the array evaluation overflows silently; only NoConvergence reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="not finite"):
+            count_zeros_winding(simplex_slice(40), 0.999)
+
+
+def _odd_quotient_count(m):
+    return 2 * len([k for k in range(1, math.ceil(m / 4.0)) if k < m / 4.0])
+
+
+def test_winding_counts_match_closed_form_locus():
+    # 2 #{1 <= k < m/4}.  Just above p = 4j - 2 the newest axis-1 pair sits
+    # beyond r = 0.999, but no p = k/10 falls inside (4j - 2, 4j - 2 + 0.1).
+    for k in range(1, 321):
+        p = k / 10.0
+        assert count_zeros_winding(axis1_slice(p), 0.999) == _odd_quotient_count(p + 2.0), p
+    for n in range(2, 31):
+        assert count_zeros_winding(simplex_slice(n), 0.999) == _odd_quotient_count(2.0 * n), n
+    for n in range(2, 61):
+        assert count_zeros_winding(mixed_slice(n), 0.999) == _odd_quotient_count(n + 1.0), n
+
+
+ARRAY_SLICES = [
+    ("axis1-3", lambda: axis1_slice(3.0)),
+    ("axis1-7.5", lambda: axis1_slice(7.5)),
+    ("axis1-30.02", lambda: axis1_slice(30.02)),
+    ("axis2-5", lambda: axis2_slice(5.0)),
+    ("simplex-9", lambda: simplex_slice(9)),
+    ("mixed-20", lambda: mixed_slice(20)),
+    ("k2-axis", k2_axis_slice),
+    ("k2-restriction", lambda: k2_pair_slice().restrict_x(0.01 + 0.005j)),
+]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.999])
+@pytest.mark.parametrize("make", [row[1] for row in ARRAY_SLICES],
+                         ids=[row[0] for row in ARRAY_SLICES])
+def test_slice_on_array_jet_matches_scalar_jets(make, r):
+    # One array jet over a 2048-point contour, as the winding count builds it,
+    # against one scalar jet per point, both coefficients to 1e-12 relative.
+    # Next to a zero |f| understates the size of f on the contour, so the
+    # value is measured against max(|f|, |f'| h), h the contour step: at
+    # axis-1 p = 30.02, r = 0.999 two points pass 1.9e-5 from a zero, where
+    # |f| is 7.5e-9 and the paths' last-bit differences in the two cancelling
+    # powers come to 5e-12 of it.
+    slc = make()
+    h = 2.0 * math.pi * r / 2048
+    t = r * np.exp(2j * np.pi * np.arange(2048) / 2048)
+    got = slc.eval(Jet1(t, (t, np.ones_like(t))))
+    for k, tk in enumerate(t):
+        val, der = slc.eval(jet1_variable(complex(tk), 1)).coeffs
+        assert abs(got.coeffs[0][k] - val) <= 1e-12 * max(abs(val), abs(der) * h)
+        assert abs(got.coeffs[1][k] - der) <= 1e-12 * abs(der)
 
 
 def test_winding_contour_through_zero():
