@@ -62,7 +62,7 @@ class ZeroReport:
 
 @dataclass(frozen=True)
 class SliceFunction:
-    """One-variable holomorphic restriction, evaluable on scalars and jets."""
+    """Holomorphic one-variable restriction; eval takes scalars and (array) jets."""
 
     eval: Callable[[complex | Jet1], complex | Jet1]
     description: str
@@ -153,10 +153,11 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     Uniform (trapezoid) sums of f'/f * t / M over the circle, doubling M until
     the result sits within 1e-3 of an integer and is stable; the contour is
     nudged inward when |f| comes too close to zero on it (a scalar check).
-    f runs on order-1 array jets of _BLOCK points under np.errstate(all=
-    "ignore"), so an overflow ends in the non-finite check, not in warnings.
+    Each sum calls f on one order-1 array jet per _BLOCK contour points, under
+    np.errstate(all="ignore"): an overflow reaches the non-finite check silently.
     """
     import numpy as np
+
     if not (0.0 < radius < 1.0):
         raise PreconditionViolated(f"radius must lie in (0,1), got {radius}")
     r = radius
