@@ -18,8 +18,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .domains import (
     Block,
     DomainSpec,
@@ -76,7 +74,7 @@ _K2_GRID_MARGIN = 0.12
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
 # the one output format of each command that has only one
-_EMITS = {"zeros": "json", "locus": "csv", "sweep": "csv"}
+_EMITS = {"eval": "json", "zeros": "json", "locus": "csv", "sweep": "csv"}
 
 
 class _Usage(Exception):
@@ -298,6 +296,8 @@ def _cmd_zeros(args) -> int:
 
 def _locus_rows(args):
     """Rows (x, y, K) over the family's slice grid, row-major, deterministic."""
+    import numpy as np
+
     fam = args.family
     res = args.res
     _, make, _, _, value = _family(fam, args)
@@ -414,6 +414,8 @@ def _suite_origin_values(seed: int, results: list) -> None:
 
 
 def _suite_fold_disc(seed: int, results: list) -> None:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     L = disc_profile()
     F = fold(L, 1)
@@ -428,6 +430,8 @@ def _suite_fold_disc(seed: int, results: list) -> None:
 
 
 def _suite_oracle(seed: int, results: list) -> None:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cfg = SeriesConfig()
 
@@ -457,6 +461,8 @@ def _suite_oracle(seed: int, results: list) -> None:
 
 
 def _suite_reproducing(seed: int, results: list) -> None:
+    import numpy as np
+
     samples = 200_000
     disc = diagonal_domain(2.0)
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .domains import Block, DomainSpec, contains, diagonal_domain, gamma_fn
 from .errors import (
     InvalidOrder,
@@ -567,6 +565,8 @@ def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     branches; entries with |x| below EPS_SWITCH^2 fall back to the scalar
     limit path.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     xi = np.sqrt(x)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .domains import DomainSpec, log_monomial_norm_sq, phi
 from .errors import NoConvergence, PreconditionViolated, UnsupportedDomain
 from .kernels import KernelValue
@@ -116,12 +114,16 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
 
 
 def _unit_disc_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    import numpy as np
+
     r = np.sqrt(rng.random((count, dim)))
     theta = 2.0 * math.pi * rng.random((count, dim))
     return r * np.exp(1j * theta)
 
 
 def _phi_many(d: DomainSpec, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(pts.shape[0])
     col = 0
     for b in d.blocks:
@@ -132,6 +134,8 @@ def _phi_many(d: DomainSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
+
     # Philox is counter-based: the (seed, block) key pins the stream exactly,
     # independent of how blocks are distributed over workers or platforms
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, block])))
@@ -142,6 +146,8 @@ def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
 
     Returns (estimate, standard error); deterministic for a given seed.
     """
+    import numpy as np
+
     if samples < 1e4:
         raise PreconditionViolated(f"need at least 1e4 samples, got {samples}")
     n = d.total_dim
@@ -179,6 +185,8 @@ class ReproducingResidual(float):
 
 def poly_eval(h: Mapping[tuple[int, ...], complex], pts: np.ndarray) -> np.ndarray:
     """Evaluate sum_beta c_beta w^beta at each row of pts."""
+    import numpy as np
+
     out = np.zeros(pts.shape[0], dtype=complex)
     for beta, c in h.items():
         term = np.full(pts.shape[0], complex(c))
@@ -201,6 +209,8 @@ def reproducing_check(d: DomainSpec, K: Callable[..., np.ndarray],
     draws, not acceptances.  Returns |estimate - h(z)| with the standard
     error attached.
     """
+    import numpy as np
+
     if phi(d, z) > 0.5:
         raise PreconditionViolated(
             f"reproducing_check wants phi(z) <= 0.5, got {phi(d, z):.4f}")

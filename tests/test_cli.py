@@ -342,6 +342,31 @@ def test_console_invocation_round_trip():
     assert rec["winding_count"] == 2
 
 
+# Closed forms and the series oracle use no arrays, so a run that takes only
+# them must not pay numpy's import (about 100 ms of a 230 ms child).
+@pytest.mark.parametrize("argv", [
+    None,
+    ["eval", "--domain", D22, "--z", "0.2,0.1"],
+    ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":4}]}',
+     "--z", "0.2,0.1"],
+    ["eval", "--domain", D22, "--z", "0.2,0.1", "--check-oracle"],
+    ["verify", "--suite", "origin-values"],
+], ids=["evaluate", "eval-k2", "eval-slice-kp", "eval-check-oracle",
+        "verify-origin-values"])
+def test_closed_form_runs_leave_numpy_unloaded(argv):
+    if argv is None:
+        run = ("import bergman\n"
+               "bergman.evaluate(bergman.diagonal_domain(2.0, 2.0), "
+               "(0.2, 0.1), (0.2, 0.1))\n")
+    else:
+        run = f"import bergman.cli\nassert bergman.cli.main({argv!r}) == 0\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", run + "import sys\nprint('numpy' in sys.modules)\n"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", "numpy was imported"
+
+
 # ------------------------------------------------------------- bad inputs
 
 # Each row exits with its code and an "error:" line, never a traceback.  The
@@ -377,6 +402,7 @@ BAD_INPUTS = [
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
     ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"], 2),
     ("sweep-format-json", ["sweep", "--family", "mixed", "--n", "4", "--format", "json"], 2),
+    ("eval-format-csv", ["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"], 2),
 ]
 
 
@@ -398,6 +424,8 @@ def test_bad_input_exit_codes(argv, code, tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"],
+     "error: eval emits JSON; drop --format csv\n"),
     (["zeros", "--family", "mixed", "--n", "4", "--format", "csv"],
      "error: zeros emits JSON; drop --format csv\n"),
     (["sweep", "--family", "mixed", "--n", "4", "--format", "json"],
