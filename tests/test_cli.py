@@ -424,14 +424,14 @@ def test_bad_input_exit_codes(argv, code, tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"],
-     "error: eval emits JSON; drop --format csv\n"),
     (["zeros", "--family", "mixed", "--n", "4", "--format", "csv"],
      "error: zeros emits JSON; drop --format csv\n"),
     (["sweep", "--family", "mixed", "--n", "4", "--format", "json"],
      "error: sweep emits CSV; drop --format json\n"),
     (["locus", "--family", "axis2", "--p", "3", "--format", "json"],
      "error: locus emits CSV; drop --format json\n"),
+    (["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"],
+     "error: eval emits JSON; drop --format csv\n"),
 ])
 def test_single_format_commands_refuse_the_other(capsys, argv, message):
     assert main(argv) == 2
