@@ -38,9 +38,9 @@ from .jets import jet1_variable
 from .kernels import (
     KernelPoint,
     ball_kernel,
+    ball_kernel_values,
     deflation_constant,
     deflation_pair,
-    disc_kernel_values,
     disc_profile,
     evaluate,
     fold,
@@ -73,8 +73,6 @@ _LOCUS_SPAN = 0.95
 _K2_GRID_MARGIN = 0.12
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
-# the one output format of each command that has only one
-_EMITS = {"eval": "json", "zeros": "json", "locus": "csv", "sweep": "csv"}
 
 
 class _Usage(Exception):
@@ -239,7 +237,6 @@ def _cmd_eval(args) -> int:
         if not contains(d, pt):
             raise OutsideDomain(f"--{label} point lies outside the domain")
     kv = evaluate(d, z, w)
-    tol = args.tol if args.tol is not None else 1e-6
     record = {
         "command": "eval",
         "domain": {"blocks": [{"dim": b.dim, "p": b.p} for b in d.blocks]},
@@ -248,7 +245,7 @@ def _cmd_eval(args) -> int:
         "value": _complex_record(kv.value),
         "abs": abs(kv.value),
         "formula": kv.formula,
-        "zero_flag": bool(abs(kv.value) < tol),
+        "zero_flag": bool(abs(kv.value) < args.tol),
     }
     if args.check_oracle:
         if not d.is_diagonal:
@@ -467,7 +464,7 @@ def _suite_reproducing(seed: int, results: list) -> None:
     disc = diagonal_domain(2.0)
 
     def disc_K(z, pts):
-        return disc_kernel_values(z[0] * np.conj(pts[:, 0]))
+        return ball_kernel_values(1, z[0] * np.conj(pts[:, 0]))
 
     res = reproducing_check(disc, disc_K, {(0,): 1.0}, (0j,), samples, seed)
     ok = float(res) <= max(3.0 * res.stderr, 1e-3) and res.stderr > 0.0
@@ -506,33 +503,23 @@ def _cmd_verify(args) -> int:
     results: list[tuple[str, bool, str]] = []
     for name in names:
         _SUITES[name](args.seed, results)
-    failures = 0
-    for label, ok, detail in results:
-        mark = "PASS" if ok else "FAIL"
-        print(f"[verify] {label}: {mark} ({detail})")
-        failures += 0 if ok else 1
-    print(f"[verify] {len(results) - failures}/{len(results)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    lines = [f"[verify] {label}: {'PASS' if ok else 'FAIL'} ({detail})"
+             for label, ok, detail in results]
+    passed = sum(ok for _, ok, _ in results)
+    lines.append(f"[verify] {passed}/{len(results)} checks passed")
+    _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK if passed == len(results) else EXIT_VERIFY
 
 
 # -------------------------------------------------------------- dispatcher
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    seed_default = int(os.environ.get("BERGMAN_SEED", "42"))
     parser = argparse.ArgumentParser(
         prog="bergman",
         description="Bergman kernels of generalized complex ellipsoids: "
                     "evaluation, zero location, grids, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_default):
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="RNG seed (env BERGMAN_SEED overrides the default)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override")
-        p.add_argument("--out", default=None, help="output path (atomic write)")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
     p = sub.add_parser("eval", help="evaluate a kernel at a point pair")
     p.add_argument("--domain", required=True,
@@ -542,26 +529,32 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="second point (defaults to --z)")
     p.add_argument("--check-oracle", action="store_true",
                    help="also run the series oracle and report the difference")
-    common(p, "json")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="zero_flag marks |K| below this")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("zeros", help="locate and certify slice zeros")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--res", type=int, default=48)
-    common(p, "json")
-    p.set_defaults(tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="Newton tolerance of the k2 grid scan")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("locus", help="emit |K| over a slice grid as CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--res", type=int, default=64)
-    common(p, "csv")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("verify", help="run the built-in identity suites")
     p.add_argument("--suite", default="all")
-    common(p, "json")
+    p.add_argument("--seed", type=int,
+                   default=int(os.environ.get("BERGMAN_SEED", "42")),
+                   help="RNG seed (env BERGMAN_SEED overrides the default)")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("sweep", help="map zero-free vs zeroed over a grid")
     p.add_argument("--family", required=True)
@@ -569,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grid: A..B, A..B:STEP, N, or fixed N")
     p.add_argument("--p2", nargs="+", default=None)
     p.add_argument("--n", nargs="+", default=None)
-    common(p, "csv")
+    p.add_argument("--out", default=None, help="output path (atomic write)")
 
     return parser
 
@@ -608,10 +601,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        emits = _EMITS.get(args.command, args.format)
-        if args.format != emits:
-            raise _Usage(f"{args.command} emits {emits.upper()}; "
-                         f"drop --format {args.format}")
         return _HANDLERS[args.command](args)
     except (_Usage, SchemaError, UnsupportedDomain, ValueError, NoConvergence,
             PreconditionViolated, ContourThroughZero) as e:

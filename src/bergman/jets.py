@@ -202,7 +202,7 @@ def _div1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
     for k in range(1, n):
         s = a[k]
         for j in range(1, k + 1):
-            s -= b[j] * out[k - j]
+            s = s - b[j] * out[k - j]
         out[k] = s / b[0]
     return out
 
@@ -253,7 +253,7 @@ def jet_arith(a, b, op: str):
                         for j in range(l + 1):
                             if i == 0 and j == 0:
                                 continue
-                            s -= b.coeffs[i][j] * rows[k - i][l - j]
+                            s = s - b.coeffs[i][j] * rows[k - i][l - j]
                     rows[k][l] = s / b.coeffs[0][0]
         else:
             raise ValueError(f"unknown op {op!r}")

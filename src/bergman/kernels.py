@@ -539,11 +539,6 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
     return series_kernel(d, z, w, SeriesConfig())
 
 
-def disc_kernel_values(t: np.ndarray) -> np.ndarray:
-    """Vectorized unit-disc kernel over pairings t = z*conj(w)."""
-    return 1.0 / (math.pi * (1.0 - t) ** 2)
-
-
 def ball_kernel_values(m: int, t: np.ndarray) -> np.ndarray:
     """Vectorized ball kernel over pairings t = <Z, W>."""
     return math.factorial(m) / (math.pi ** m * (1.0 - t) ** (m + 1))
@@ -571,15 +566,16 @@ def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     xi = np.sqrt(x)
     small = np.abs(xi) < EPS_SWITCH
-    xi_safe = np.where(small, 1.0, xi)
+    direct, y_direct = xi[~small], y[~small]
 
     def fpp(s):
         base = 1.0 - s
-        denom = base ** p - y
+        denom = base ** p - y_direct
         return (2.0 * p * p * base ** (2.0 * p - 2.0)
                 - p * (p - 1.0) * base ** (p - 2.0) * denom) / denom ** 3
 
-    out = (fpp(xi_safe) - fpp(-xi_safe)) / (4.0 * p * math.pi ** 2 * xi_safe)
+    out = np.empty_like(xi)
+    out[~small] = (fpp(direct) - fpp(-direct)) / (4.0 * p * math.pi ** 2 * direct)
     if np.any(small):
         flat = np.argwhere(small)
         for pos in flat:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from bergman import cli
 from bergman.cli import _FAMILIES, _build_parser, main
 
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -323,6 +325,20 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert json.loads(path.read_text()) == rec
 
 
+@pytest.mark.parametrize("suite,code", [("origin-values", 0), ("deflation", 5)])
+def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys, monkeypatch, suite, code):
+    # a forced failure shows that --out keeps the exit code
+    monkeypatch.setitem(cli._SUITES, "deflation",
+                        lambda seed, results: results.append(("forced", False, "-")))
+    argv = ["verify", "--suite", suite]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    path = tmp_path / "verify.txt"
+    assert main(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("BERGMAN_SEED", "7")
     args = _build_parser().parse_args(["verify"])
@@ -400,9 +416,6 @@ BAD_INPUTS = [
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
     ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
-    ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"], 2),
-    ("sweep-format-json", ["sweep", "--family", "mixed", "--n", "4", "--format", "json"], 2),
-    ("eval-format-csv", ["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"], 2),
 ]
 
 
@@ -423,18 +436,41 @@ def test_bad_input_exit_codes(argv, code, tmp_path):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["zeros", "--family", "mixed", "--n", "4", "--format", "csv"],
-     "error: zeros emits JSON; drop --format csv\n"),
-    (["sweep", "--family", "mixed", "--n", "4", "--format", "json"],
-     "error: sweep emits CSV; drop --format json\n"),
-    (["locus", "--family", "axis2", "--p", "3", "--format", "json"],
-     "error: locus emits CSV; drop --format json\n"),
-    (["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"],
-     "error: eval emits JSON; drop --format csv\n"),
-])
-def test_single_format_commands_refuse_the_other(capsys, argv, message):
+# Each subcommand parses exactly the options its handler reads.
+OPTIONS = {
+    "eval": {"--domain", "--z", "--w", "--check-oracle", "--tol", "--out"},
+    "zeros": {"--family", "--p", "--n", "--res", "--tol", "--out"},
+    "locus": {"--family", "--p", "--n", "--res", "--out"},
+    "verify": {"--suite", "--seed", "--out"},
+    "sweep": {"--family", "--p1", "--p2", "--n", "--out"},
+}
+
+
+def test_each_subcommand_parses_only_what_it_reads():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+
+
+# An option a command does not read is a usage error from argparse: exit 2,
+# nothing on stdout, the option named on stderr.
+UNREAD = [
+    ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"]),
+    ("sweep-format-json", ["sweep", "--family", "mixed", "--n", "4", "--format", "json"]),
+    ("locus-format-json", ["locus", "--family", "axis2", "--p", "3", "--format", "json"]),
+    ("eval-format-csv", ["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"]),
+    ("eval-seed", ["eval", "--domain", D22, "--z", "0.1,0.2", "--seed", "1"]),
+    ("locus-tol", ["locus", "--family", "axis2", "--p", "3", "--tol", "1"]),
+    ("verify-tol", ["verify", "--suite", "origin-values", "--tol", "1"]),
+]
+
+
+@pytest.mark.parametrize("argv", [row[1] for row in UNREAD], ids=[row[0] for row in UNREAD])
+def test_unread_options_are_unrecognized(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err.endswith(
+        "error: unrecognized arguments: " + " ".join(argv[-2:]) + "\n")

@@ -20,6 +20,7 @@ from bergman.jets import (
     jet_rpow,
     partial_extract,
 )
+from bergman.zeros import SliceFunction, count_zeros_winding
 
 from _oracles import (
     fd_derivative,
@@ -285,3 +286,18 @@ def test_array_jet_matches_scalar_jets():
         want = (2.0 + s * s) / (1.0 - s) ** 4.0 - 3.0 * (s + 0.5j) ** -1.5
         for c in range(2):
             assert abs(got.coeffs[c][k] - want.coeffs[c]) <= 1e-13 * abs(want.coeffs[c])
+
+
+def test_array_jet_division_leaves_operands_unchanged():
+    t = np.array([0.5 + 0.1j, -0.2 + 0.7j, 0.9j])
+    x = _array_variable(t)
+    d = 1.0 - x
+    num_coeffs = [c.copy() for c in x.coeffs]
+    den_coeffs = [c.copy() for c in d.coeffs]
+    x / d
+    for got, want in zip(x.coeffs + d.coeffs, num_coeffs + den_coeffs):
+        assert np.array_equal(got, want)
+    # the winding count divides array jets; a mutated numerator corrupted it
+    # when the quotient came first in the product
+    q = SliceFunction(eval=lambda s: (s / (1.5 - s)) * (s - 0.3), description="q")
+    assert count_zeros_winding(q, 0.5) == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from bergman.kernels import (
     ball_kernel,
     ball_kernel_values,
     deflation_constant,
-    disc_kernel_values,
     disc_profile,
     evaluate,
     fold,
@@ -476,7 +476,7 @@ def test_mixed_family_rejects_outside_ball():
 def test_disc_values_vectorized():
     rng = np.random.default_rng(79)
     t = np.array([rand_disc(rng) for _ in range(50)])
-    got = disc_kernel_values(t)
+    got = ball_kernel_values(1, t)
     for i in range(len(t)):
         want = 1.0 / (math.pi * (1.0 - t[i]) ** 2)
         assert abs(got[i] - want) <= 1e-13 * abs(want)
@@ -517,6 +517,18 @@ def test_slice_values_vectorized_includes_small_roots():
         for i, (x, y) in enumerate(zip(xs, ys)):
             want = slice_kernel_kp(p, x, y).value
             assert abs(got[i] - want) <= 1e-10 * max(1e-30, abs(want))
+
+
+def test_slice_values_vectorized_small_root_warns_nothing_below_p2():
+    # the direct formula holds (1 - xi)^(p - 2), which is 0^(negative) if a
+    # small root is pushed through it; only the scalar limit may see it
+    xs, ys = [1e-8 + 0j, 0.04 + 0j], [0.1j, 0.1 + 0j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = slice_kp_values(1.5, np.array(xs), np.array(ys))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        want = slice_kernel_kp(1.5, x, y).value
+        assert abs(got[i] - want) <= 1e-10 * abs(want)
 
 
 # ---------------------------------------------------------------- evaluate

@@ -13,7 +13,6 @@ from bergman.errors import (
 from bergman.kernels import (
     ball_kernel_values,
     deflation_pair,
-    disc_kernel_values,
     k2_closed_form,
     k2_values,
     slice_kernel_kp,
@@ -228,7 +227,7 @@ def test_mc_volume_rejects_tiny_sample_count():
 
 
 def disc_K(z, pts):
-    return disc_kernel_values(z[0] * np.conj(pts[:, 0]))
+    return ball_kernel_values(1, z[0] * np.conj(pts[:, 0]))
 
 
 def k22_K(z, pts):
