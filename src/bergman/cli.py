@@ -539,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--res", type=int, default=48)
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="Newton tolerance of the k2 grid scan")
+                   help="root tolerance of the k2 grid scan")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("locus", help="emit |K| over a slice grid as CSV")

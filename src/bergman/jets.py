@@ -253,7 +253,7 @@ def jet_arith(a, b, op: str):
                         for j in range(l + 1):
                             if i == 0 and j == 0:
                                 continue
-                            s = s - b.coeffs[i][j] * rows[k - i][l - j]
+                            s -= b.coeffs[i][j] * rows[k - i][l - j]
                     rows[k][l] = s / b.coeffs[0][0]
         else:
             raise ValueError(f"unknown op {op!r}")

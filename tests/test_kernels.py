@@ -512,23 +512,15 @@ def test_slice_values_vectorized_includes_small_roots():
     # |x| <= 0.3 keeps sqrt|x| + |y|^(1/3) < 0.93 for the fixed y below
     xs = [rand_disc(rng, 0.3) for _ in range(20)] + [1e-8 + 0j, 0j]
     ys = [0.05 + 0.02j] * 22
-    for p in (2.0, 3.0):
-        got = slice_kp_values(p, np.array(xs), np.array(ys))
+    for p in (1.5, 2.0, 3.0):
+        # below p = 2 the direct formula's (1 - xi)^(p - 2) is 0^(negative)
+        # at xi = 1, so no small root may pass through it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = slice_kp_values(p, np.array(xs), np.array(ys))
         for i, (x, y) in enumerate(zip(xs, ys)):
             want = slice_kernel_kp(p, x, y).value
             assert abs(got[i] - want) <= 1e-10 * max(1e-30, abs(want))
-
-
-def test_slice_values_vectorized_small_root_warns_nothing_below_p2():
-    # the direct formula holds (1 - xi)^(p - 2), which is 0^(negative) if a
-    # small root is pushed through it; only the scalar limit may see it
-    xs, ys = [1e-8 + 0j, 0.04 + 0j], [0.1j, 0.1 + 0j]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = slice_kp_values(1.5, np.array(xs), np.array(ys))
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        want = slice_kernel_kp(1.5, x, y).value
-        assert abs(got[i] - want) <= 1e-10 * abs(want)
 
 
 # ---------------------------------------------------------------- evaluate
