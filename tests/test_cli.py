@@ -416,6 +416,14 @@ BAD_INPUTS = [
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
     ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
+    # argparse refuses an option the command does not read before any handler
+    # runs, so its usage line comes ahead of its error line
+    ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"], 2,
+     "usage: bergman "),
+    ("sweep-format-json", ["sweep", "--family", "mixed", "--n", "4", "--format", "json"], 2,
+     "usage: bergman "),
+    ("eval-format-csv", ["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"], 2,
+     "usage: bergman "),
 ]
 
 
@@ -424,15 +432,17 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv,code", [row[1:] for row in BAD_INPUTS],
+@pytest.mark.parametrize("argv,code,start",
+                         [(row[1], row[2], row[3] if len(row) > 3 else "error:")
+                          for row in BAD_INPUTS],
                          ids=[row[0] for row in BAD_INPUTS])
-def test_bad_input_exit_codes(argv, code, tmp_path):
+def test_bad_input_exit_codes(argv, code, start, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "bergman"] + argv,
                           capture_output=True, text=True, timeout=60,
                           preexec_fn=_limit_address_space)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stderr.startswith(start), proc.stderr
     assert proc.stdout == ""
 
 
