@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, SchemaError, UnsupportedDomain
 
@@ -172,6 +172,26 @@ def contains(d: DomainSpec, z: Sequence[complex], margin: float = 0.0) -> bool:
     return phi(d, z) < 1.0 - margin
 
 
+def log_norm_table(d: DomainSpec) -> Callable[[Sequence[int]], float]:
+    """log_monomial_norm_sq on d, memoising log p_j + log Gamma(p_j (a+1)) per
+    coordinate j and exponent a: a series over many alpha then pays one
+    Lanczos call per term, for the Gamma in the denominator."""
+    ps = d.exponents()
+    rows = [{} for _ in ps]
+
+    def log_norm(alpha: Sequence[int]) -> float:
+        acc = len(ps) * math.log(math.pi)
+        s = 0.0
+        for p, row, a in zip(ps, rows, alpha):
+            if a not in row:
+                row[a] = math.log(p) + log_gamma(p * (a + 1))
+            acc += row[a]
+            s += p * (a + 1)
+        return acc - log_gamma(1.0 + s)
+
+    return log_norm
+
+
 def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
     """log of the squared L2 norm of z^alpha on an all-diagonal domain.
 
@@ -190,13 +210,7 @@ def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
     if len(a) != n:
         raise DimensionMismatch(
             f"multi-index has {len(a)} entries, domain has {n} coordinates")
-    acc = n * math.log(math.pi)
-    s = 0.0
-    for b, ak in zip(d.blocks, a):
-        arg = b.p * (ak + 1)
-        acc += math.log(b.p) + log_gamma(arg)
-        s += arg
-    return acc - log_gamma(1.0 + s)
+    return log_norm_table(d)(a)
 
 
 def monomial_norm_sq(d: DomainSpec, alpha) -> float:

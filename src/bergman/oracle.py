@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .domains import DomainSpec, log_monomial_norm_sq, phi
+from .domains import DomainSpec, log_norm_table, phi
 from .errors import NoConvergence, PreconditionViolated, UnsupportedDomain
 from .kernels import KernelValue
 
 # block size for the counter-based sample stream; estimates are sums over
 # blocks, so any assignment of blocks to workers merges to the same result
 _MC_BLOCK = 1 << 16
+# |phi - 1| below which a draw's inside test is redone on its complex point
+_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,12 @@ def _degree_increments(d: DomainSpec, z, w, top: int):
     v = [zj * complex(wj).conjugate() for zj, wj in zip(z, w)]
     active = [j for j in range(n) if v[j] != 0]
     logv = [cmath.log(v[j]) for j in active]
+    log_norm = log_norm_table(d)
 
     base = [0] * n
     for deg in range(top + 1):
         if deg == 0:
-            yield 0, cmath.exp(-log_monomial_norm_sq(d, base))
+            yield 0, cmath.exp(-log_norm(base))
             continue
         if not active:
             return
@@ -68,7 +71,7 @@ def _degree_increments(d: DomainSpec, z, w, top: int):
             for slot, a in enumerate(comp):
                 alpha[active[slot]] = a
                 ex += a * logv[slot]
-            total += cmath.exp(ex - log_monomial_norm_sq(d, alpha))
+            total += cmath.exp(ex - log_norm(alpha))
         yield deg, total
 
 
@@ -113,22 +116,14 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
         f"series did not settle by degree {top} (phi too close to 1?)")
 
 
-def _unit_disc_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+def _phi_many(d: DomainSpec, sq: np.ndarray) -> np.ndarray:
+    """phi at each row of squared moduli |z_j|^2."""
     import numpy as np
 
-    r = np.sqrt(rng.random((count, dim)))
-    theta = 2.0 * math.pi * rng.random((count, dim))
-    return r * np.exp(1j * theta)
-
-
-def _phi_many(d: DomainSpec, pts: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros(pts.shape[0])
+    out = np.zeros(sq.shape[0])
     col = 0
     for b in d.blocks:
-        sq = np.sum(np.abs(pts[:, col:col + b.dim]) ** 2, axis=1)
-        out += sq ** (1.0 / b.p)
+        out += np.sum(sq[:, col:col + b.dim], axis=1) ** (1.0 / b.p)
         col += b.dim
     return out
 
@@ -141,6 +136,35 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, block])))
 
 
+def _polydisc_blocks(d: DomainSpec, samples: int, seed: int, want_points: bool):
+    """Per block of uniform polydisc draws: the inside mask, and the inside
+    points if ``want_points``.  A block draws u = |z_j|^2, then the angles, so
+    z_j = sqrt(u) e^(i theta).  phi needs only u; points are built only where
+    wanted or where phi is within _GUARD of 1, and the mask is redone on them,
+    so it equals the test on complex points bit for bit."""
+    import numpy as np
+
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1e4:
+        raise PreconditionViolated(
+            f"need an integer of at least 1e4 samples, got {samples!r}")
+    for block, start in enumerate(range(0, samples, _MC_BLOCK)):
+        rng = _block_rng(seed, block)
+        u = rng.random((min(_MC_BLOCK, samples - start), d.total_dim))
+        phi_u = _phi_many(d, u)
+        inside = phi_u < 1.0
+        rows = np.abs(phi_u - 1.0) < _GUARD
+        if want_points:
+            rows |= inside
+        pts = None
+        if np.any(rows):
+            theta = 2.0 * math.pi * rng.random(u.shape)
+            pts = np.sqrt(u[rows]) * np.exp(1j * theta[rows])
+            hit = _phi_many(d, np.abs(pts) ** 2) < 1.0
+            inside[rows] = hit
+            pts = pts[hit]
+        yield inside, pts
+
+
 def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
     """Rejection-sampling volume from the bounding polydisc {|z_j| < 1}.
 
@@ -148,20 +172,11 @@ def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
     """
     import numpy as np
 
-    if samples < 1e4:
-        raise PreconditionViolated(f"need at least 1e4 samples, got {samples}")
-    n = d.total_dim
     hits = 0
-    done = 0
-    block = 0
-    while done < samples:
-        take = min(_MC_BLOCK, samples - done)
-        pts = _unit_disc_samples(_block_rng(seed, block), take, n)
-        hits += int(np.count_nonzero(_phi_many(d, pts) < 1.0))
-        done += take
-        block += 1
+    for inside, _ in _polydisc_blocks(d, samples, seed, False):
+        hits += int(np.count_nonzero(inside))
     rate = hits / samples
-    scale = math.pi ** n
+    scale = math.pi ** d.total_dim
     return scale * rate, scale * math.sqrt(rate * (1.0 - rate) / samples)
 
 
@@ -214,24 +229,15 @@ def reproducing_check(d: DomainSpec, K: Callable[..., np.ndarray],
     if phi(d, z) > 0.5:
         raise PreconditionViolated(
             f"reproducing_check wants phi(z) <= 0.5, got {phi(d, z):.4f}")
-    n = d.total_dim
-    scale = math.pi ** n
+    scale = math.pi ** d.total_dim
     total = 0j
     total_sq = 0.0
-    done = 0
-    block = 0
-    while done < samples:
-        take = min(_MC_BLOCK, samples - done)
-        pts = _unit_disc_samples(_block_rng(seed, block), take, n)
-        inside = _phi_many(d, pts) < 1.0
-        vals = np.zeros(take, dtype=complex)
+    for inside, w_in in _polydisc_blocks(d, samples, seed, True):
+        vals = np.zeros(inside.shape, dtype=complex)
         if np.any(inside):
-            w_in = pts[inside]
             vals[inside] = np.asarray(K(z, w_in)) * poly_eval(h, w_in)
         total += complex(np.sum(vals))
         total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += take
-        block += 1
     mean = total / samples
     estimate = scale * mean
     var = total_sq / samples - abs(mean) ** 2

@@ -1,10 +1,18 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bergman.domains import Block, DomainSpec, diagonal_domain, phi, volume
+from bergman.domains import (
+    Block,
+    DomainSpec,
+    diagonal_domain,
+    log_monomial_norm_sq,
+    phi,
+    volume,
+)
 from bergman.errors import (
     NoConvergence,
     PreconditionViolated,
@@ -19,7 +27,9 @@ from bergman.kernels import (
     slice_kp_values,
 )
 from bergman.oracle import (
+    _MC_BLOCK,
     ReproducingResidual,
+    _block_rng,
     SeriesConfig,
     mc_volume,
     poly_eval,
@@ -150,6 +160,51 @@ def test_series_deterministic():
     assert series_kernel(d, z, w).value == series_kernel(d, z, w).value
 
 
+def series_reference(d, z, w, cfg=SeriesConfig()):
+    """The monomial series term by term through log_monomial_norm_sq, with the
+    stop rule of series_kernel: the bits any faster summation must keep."""
+    n = d.total_dim
+    v = [zj * complex(wj).conjugate() for zj, wj in zip(z, w)]
+    active = [j for j in range(n) if v[j] != 0]
+    logv = [cmath.log(v[j]) for j in active]
+    acc, peak, quiet = 0j, 0.0, 0
+    for deg in range(cfg.max_degree + 1):
+        inc = 0j
+        # lexicographic order, the order series_kernel enumerates them in
+        for comp in itertools.product(range(deg + 1), repeat=len(active)):
+            if sum(comp) != deg:
+                continue
+            alpha = [0] * n
+            ex = 0j
+            for slot, a in enumerate(comp):
+                alpha[active[slot]] = a
+                ex += a * logv[slot]
+            inc += cmath.exp(ex - log_monomial_norm_sq(d, alpha))
+        acc += inc
+        if not active:
+            return acc
+        peak = max(peak, abs(acc))
+        quiet = quiet + 1 if abs(inc) < cfg.stop_rel * peak else 0
+        if quiet >= 2:
+            return acc
+    raise AssertionError("reference series did not settle")
+
+
+@pytest.mark.parametrize("exps, z, w", [
+    ((2.0,), (0.3 + 0.2j,), (0.1 - 0.4j,)),
+    ((3.5,), (0.2j,), (0.25,)),
+    ((2.0, 2.0), (0.3 + 0.1j, 0.2j), (0.25, 0.1 - 0.2j)),
+    ((2.0, 4.7), (0.2 - 0.1j, 0.05j), (0.1j, 0.03 + 0.02j)),
+    ((1.0, 2.0), (0.4, 0j), (0.3 - 0.1j, 0.2)),
+    ((2.0, 2.0, 2.0), (0.1 + 0.05j, 0.05j, 0.01), (0.1, 0.03 - 0.02j, 0.01j)),
+    ((3.0, 3.0, 1.7), (0.05, 0j, 0.1 + 0.1j), (0.04j, 0.2, 0.2)),
+    ((1.0, 2.0, 2.5), (0j, 0j, 0j), (0.1, 0.2, 0.1)),
+])
+def test_series_bits_equal_term_by_term_reference(exps, z, w):
+    d = diagonal_domain(*exps)
+    assert series_kernel(d, z, w).value == series_reference(d, z, w)
+
+
 # ---------------------------------------------------------------- deflation
 
 
@@ -219,8 +274,77 @@ def test_mc_volume_block_boundary_stability():
 
 
 def test_mc_volume_rejects_tiny_sample_count():
-    with pytest.raises(PreconditionViolated):
-        mc_volume(diagonal_domain(1.0), 100, seed=1)
+    # samples must be an int (not a bool) of at least 1e4, for both estimators
+    for samples in (100, 0, -5, math.nan, 15_000.0, True, "20000"):
+        with pytest.raises(PreconditionViolated):
+            mc_volume(diagonal_domain(1.0), samples, seed=1)
+        with pytest.raises(PreconditionViolated):
+            reproducing_check(diagonal_domain(1.0), disc_K, {(0,): 1.0}, (0.3,),
+                              samples, seed=1)
+
+
+# the four domain shapes of perfbench's oracle-check Monte Carlo volumes
+MC_SHAPES = (
+    lambda p: diagonal_domain(2.0, p),
+    lambda p: diagonal_domain(1.0, 2.0, p),
+    lambda p: DomainSpec((Block(2, 1.0), Block(1, p))),
+    lambda p: DomainSpec((Block(1, p), Block(2, 2.0))),
+)
+
+
+def phi_rows(d, sq):
+    """phi at each row of squared moduli, block by block."""
+    out = np.zeros(sq.shape[0])
+    col = 0
+    for b in d.blocks:
+        out += np.sum(sq[:, col:col + b.dim], axis=1) ** (1.0 / b.p)
+        col += b.dim
+    return out
+
+
+def test_mc_phi_from_squared_radii_matches_complex_points():
+    # a block of the sample stream is u = |z_j|^2, then the angles; phi from u
+    # must give the mask of phi from the points sqrt(u) e^(i theta), with rows
+    # within the 1e-12 guard band decided on the points
+    worst = 0.0
+    for shape, p in zip(MC_SHAPES, (1.5, 2.5, 3.0, 4.0)):
+        d = shape(p)
+        hits = 0
+        for block in range(8):
+            rng = _block_rng(31, block)
+            u = rng.random((_MC_BLOCK, d.total_dim))
+            theta = 2.0 * math.pi * rng.random(u.shape)
+            pts = np.sqrt(u) * np.exp(1j * theta)
+            phi_old = phi_rows(d, np.abs(pts) ** 2)
+            phi_u = phi_rows(d, u)
+            worst = max(worst, float(np.max(np.abs(phi_u - phi_old))))
+            guard = np.abs(phi_u - 1.0) < 1e-12
+            assert np.array_equal(np.where(guard, phi_old < 1.0, phi_u < 1.0),
+                                  phi_old < 1.0)
+            hits += int(np.count_nonzero(phi_old < 1.0))
+        samples = 8 * _MC_BLOCK
+        assert mc_volume(d, samples, 31)[0] == math.pi ** d.total_dim * (hits / samples)
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("shape, want", zip(MC_SHAPES, [
+    (1.260348482019111, 0.01041665139520097),
+    (0.7004317902079729, 0.014569549474891863),
+    (1.9921532767092633, 0.024041751394045702),
+    (0.6570230028555532, 0.01412096235586632),
+]))
+def test_mc_volume_pinned(shape, want):
+    assert mc_volume(shape(2.5), 100_000, 23) == want
+
+
+def test_mc_guard_band_over_every_draw_keeps_the_bits(monkeypatch):
+    # an infinite band sends every inside test through the complex points
+    import bergman.oracle
+
+    monkeypatch.setattr(bergman.oracle, "_GUARD", math.inf)
+    assert mc_volume(MC_SHAPES[2](2.5), 100_000, 23) == (
+        1.9921532767092633, 0.024041751394045702)
+    test_reproducing_pinned()
 
 
 # -------------------------------------------------------------- reproducing
@@ -276,6 +400,17 @@ def test_reproducing_deterministic():
                           (0.25,), 50_000, seed=9)
     assert a.estimate == b.estimate
     assert a.stderr == b.stderr
+
+
+def test_reproducing_pinned():
+    res = reproducing_check(diagonal_domain(2.0, 2.0), k22_K,
+                            {(1, 0): 1.0, (0, 1): 0.5j}, (0.2, 0.1j), 100_000, seed=29)
+    assert res.estimate == 0.14660176962763066 - 0.0007711908428539758j
+    assert res.stderr == 0.004485024761843107
+    res = reproducing_check(diagonal_domain(2.0, 4.0), k24_K, {(1, 1): 1.0},
+                            (0.2, 0.05), 100_000, seed=29)
+    assert res.estimate == 0.011591302236109513 + 0.0016719597147177047j
+    assert res.stderr == 0.0013101492602485567
 
 
 def test_reproducing_stderr_scales_with_samples():
