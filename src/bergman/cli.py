@@ -413,15 +413,20 @@ def _suite_origin_values(seed: int, results: list) -> None:
 def _suite_fold_disc(seed: int, results: list) -> None:
     import numpy as np
 
+    # {|zeta|^(2/p) < 1} is the disc again, so fold(L, p) must be L; radii on
+    # both branches of fold (root sum at |t| >= 1e-2, Taylor filter below)
     rng = np.random.default_rng(seed)
     L = disc_profile()
-    F = fold(L, 1)
     worst = 0.0
-    for _ in range(8):
-        t = 0.8 * math.sqrt(rng.random()) * complex(np.exp(2j * np.pi * rng.random()))
-        a = F.eval((), (), jet1_variable(t, 0)).coeffs[0]
-        b = L.eval((), (), jet1_variable(t, 0)).coeffs[0]
-        worst = max(worst, abs(a - b) / abs(b))
+    for p in (2, 3, 5):
+        F = fold(L, p)
+        for lo, hi in ((1e-2, 0.8), (1e-5, 1e-2)):
+            for _ in range(4):
+                r = lo + (hi - lo) * rng.random()
+                t = r * complex(np.exp(2j * np.pi * rng.random()))
+                a = F.eval((), (), jet1_variable(t, 0)).coeffs[0]
+                b = L.eval((), (), jet1_variable(t, 0)).coeffs[0]
+                worst = max(worst, abs(a - b) / abs(b))
     _check("fold-disc/identity", worst < 1e-12,
            f"max rel diff {_fmt(worst)}", results)
 

@@ -286,6 +286,22 @@ def test_verify_fast_suites(capsys):
     capsys.readouterr()
 
 
+def test_verify_fold_disc_folds_by_more_than_one(monkeypatch, capsys):
+    # fold(L, 1) is L itself, so the suite must fold the disc by p > 1
+    from bergman.kernels import fold
+
+    seen = []
+
+    def spy(L, p):
+        seen.append(p)
+        return fold(L, p)
+
+    monkeypatch.setattr(cli, "fold", spy)
+    assert main(["verify", "--suite", "fold-disc"]) == 0
+    assert "fold-disc/identity: PASS (max rel diff 0)" not in capsys.readouterr().out
+    assert seen == [2, 3, 5]
+
+
 def test_verify_all_passes():
     proc = subprocess.run(
         [sys.executable, "-m", "bergman", "verify"],
