@@ -173,9 +173,9 @@ def contains(d: DomainSpec, z: Sequence[complex], margin: float = 0.0) -> bool:
 
 
 def log_norm_table(d: DomainSpec) -> Callable[[Sequence[int]], float]:
-    """log_monomial_norm_sq on d, memoising log p_j + log Gamma(p_j (a+1)) per
-    coordinate j and exponent a: a series over many alpha then pays one
-    Lanczos call per term, for the Gamma in the denominator."""
+    """log_monomial_norm_sq on an all-diagonal d, memoising log p_j +
+    log Gamma(p_j (a+1)) per coordinate j and exponent a: a series over many
+    alpha then pays one Lanczos call per term, for the denominator's Gamma."""
     ps = d.exponents()
     rows = [{} for _ in ps]
 

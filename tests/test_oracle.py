@@ -327,6 +327,8 @@ def test_mc_phi_from_squared_radii_matches_complex_points():
     assert worst <= 1e-14
 
 
+# exact results of the complex-point sampler, recorded before phi was computed
+# from squared radii
 @pytest.mark.parametrize("shape, want", zip(MC_SHAPES, [
     (1.260348482019111, 0.01041665139520097),
     (0.7004317902079729, 0.014569549474891863),
@@ -344,7 +346,7 @@ def test_mc_guard_band_over_every_draw_keeps_the_bits(monkeypatch):
     monkeypatch.setattr(bergman.oracle, "_GUARD", math.inf)
     assert mc_volume(MC_SHAPES[2](2.5), 100_000, 23) == (
         1.9921532767092633, 0.024041751394045702)
-    test_reproducing_pinned()
+    assert_reproducing_pinned()
 
 
 # -------------------------------------------------------------- reproducing
@@ -402,7 +404,9 @@ def test_reproducing_deterministic():
     assert a.stderr == b.stderr
 
 
-def test_reproducing_pinned():
+def assert_reproducing_pinned():
+    # exact results of the complex-point sampler, recorded before phi was
+    # computed from squared radii
     res = reproducing_check(diagonal_domain(2.0, 2.0), k22_K,
                             {(1, 0): 1.0, (0, 1): 0.5j}, (0.2, 0.1j), 100_000, seed=29)
     assert res.estimate == 0.14660176962763066 - 0.0007711908428539758j
@@ -411,6 +415,10 @@ def test_reproducing_pinned():
                             (0.2, 0.05), 100_000, seed=29)
     assert res.estimate == 0.011591302236109513 + 0.0016719597147177047j
     assert res.stderr == 0.0013101492602485567
+
+
+def test_reproducing_pinned():
+    assert_reproducing_pinned()
 
 
 def test_reproducing_stderr_scales_with_samples():
