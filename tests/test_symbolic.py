@@ -1,0 +1,60 @@
+"""Symbolic checks of the closed forms, exact in sympy.
+
+Each test proves an identity the numeric routes rely on: the slice formula
+at p = 2 is K2, its x -> 0 limit is axis_limit_kernel for every p, the
+odd-quotient zeros solve ((1 - t)/(1 + t))^m = 1, and the simplex
+restriction constant is the product of its deflation steps.
+"""
+
+import math
+
+import pytest
+
+from bergman.kernels import _axis2_coefficients, simplex_restriction_constant
+
+sp = pytest.importorskip("sympy")
+
+xi, y, s = sp.symbols("xi y s")
+
+
+def slice_formula(p):
+    """(1/(4 p pi^2 xi)) [F''(xi) - F''(-xi)], F(s) = ((1-s)^p - y)^(-1),
+    the slice kernel at x = xi^2 as slice_kernel_kp states it."""
+    f2 = sp.diff(1 / ((1 - s) ** p - y), s, 2)
+    return (f2.subs(s, xi) - f2.subs(s, -xi)) / (4 * p * sp.pi ** 2 * xi)
+
+
+def test_slice_formula_at_p2_is_k2():
+    x = xi ** 2
+    k2 = 2 / sp.pi ** 2 * (3 * (1 - x - y) * (1 - (x - y) ** 2) + 8 * x * y) \
+        / ((1 - x - y) ** 2 - 4 * x * y) ** 3
+    assert sp.simplify(sp.cancel(slice_formula(2) - k2)) == 0
+
+
+def test_slice_axis_limit_is_axis_limit_kernel():
+    p = sp.Symbol("p", positive=True)
+    limit = sp.limit(slice_formula(p), xi, 0)
+    a, b, c = (sp.nsimplify(e) for e in _axis2_coefficients(p))
+    assert sp.simplify(limit - (a * y ** 2 + b * y + c) / (2 * sp.pi ** 2 * (1 - y) ** 4)) == 0
+
+
+def test_odd_quotient_zeros_solve_the_power_equation():
+    # (1 - i tan th)/(1 + i tan th) = exp(-2i th); for 0 < th = pi k/m < pi/4
+    # that is the principal value, so its m-th power is exp(-2 pi i k) = 1
+    k = sp.Symbol("k", integer=True)
+    m = sp.Symbol("m", positive=True)
+    th = sp.pi * k / m
+    t = sp.I * sp.tan(th)
+    assert sp.simplify(((1 - t) / (1 + t)).rewrite(sp.exp) - sp.exp(-2 * sp.I * th)) == 0
+    assert sp.exp(m * -2 * sp.I * th) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_simplex_restriction_constant_is_its_deflation_product(n):
+    def deflation(p, q):
+        return sp.pi ** 2 * sp.gamma(p + 1) * sp.gamma(q + 1) / sp.gamma(p + q + 1)
+
+    exact = sp.Mul(*(sp.pi / deflation(2, 2 * i) for i in range(1, n - 1)))
+    assert sp.simplify(exact - sp.factorial(2 * n - 2) / (2 * (2 * sp.pi) ** (n - 2))) == 0
+    got = simplex_restriction_constant(n)
+    assert abs(got - float(exact)) <= 4 * n * math.ulp(float(exact))
