@@ -5,8 +5,9 @@ A domain is a finite list of blocks (m_j, p_j) and stands for
     sum_j ||z_j||^(2/p_j) < 1,   z_j in C^(m_j).
 
 This module owns membership tests, the closed-form monomial L2 norms on the
-all-diagonal (every m_j = 1) case, and volumes.  The Gamma function is local
-to this module; everything downstream that needs Gamma goes through here.
+all-diagonal (every m_j = 1) case, and volumes.  Gamma values come from
+math.lgamma through log_gamma and gamma_fn here; everything downstream that
+needs Gamma goes through them.
 """
 
 from __future__ import annotations
@@ -18,35 +19,12 @@ from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, SchemaError, UnsupportedDomain
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error stays below
-# 1e-13 for real arguments in (0, 50], which is the range exercised here.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    if x < 0.5:
-        # shift into the stable range via Gamma(x) = Gamma(x+1)/x
-        return log_gamma(x + 1.0) - math.log(x)
-    xa = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (xa + i)
-    t = xa + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (xa + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:
@@ -175,7 +153,7 @@ def contains(d: DomainSpec, z: Sequence[complex], margin: float = 0.0) -> bool:
 def log_norm_table(d: DomainSpec) -> Callable[[Sequence[int]], float]:
     """log_monomial_norm_sq on an all-diagonal d, memoising log p_j +
     log Gamma(p_j (a+1)) per coordinate j and exponent a: a series over many
-    alpha then pays one Lanczos call per term, for the denominator's Gamma."""
+    alpha then pays one log_gamma call per term, for the denominator's Gamma."""
     ps = d.exponents()
     rows = [{} for _ in ps]
 
