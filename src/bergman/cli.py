@@ -52,6 +52,7 @@ from .kernels import (
 )
 from .oracle import SeriesConfig, reproducing_check, series_kernel
 from .zeros import (
+    DEFAULT_SCAN_MARGIN,
     ODD_QUOTIENTS,
     axis1_slice,
     axis2_slice,
@@ -70,7 +71,6 @@ EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 
 _LOCUS_SPAN = 0.95
-_K2_GRID_MARGIN = 0.12
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
 
@@ -315,7 +315,7 @@ def _locus_rows(args):
         return
     if fam == "k2":
         # signed radius grid; the admissibility filter keeps K2 off its poles
-        rmax = 1.0 - _K2_GRID_MARGIN
+        rmax = 1.0 - DEFAULT_SCAN_MARGIN
         side = np.linspace(rmax / res, rmax, res)
         vals = np.concatenate([-side[::-1], side])
         for x in vals:

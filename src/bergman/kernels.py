@@ -28,10 +28,7 @@ from .jets import (
     derivative_extract,
     jet1_const,
     jet1_variable,
-    jet2_lift_t,
-    jet2_variable_u,
     jet_rpow,
-    partial_extract,
 )
 
 # Below this modulus of the folded (root) variable the direct formula loses
@@ -88,19 +85,16 @@ def disc_profile() -> CircularKernelProfile:
 def hartogs_profile(p: float) -> CircularKernelProfile:
     """Profile in the fiber pairing t for {|z|^2 + |zeta|^(2/p) < 1}.
 
-    L(z, w, t) = (1/(p pi^2)) d^2/dsigma^2 [1/((1-sigma)^p - t)] at sigma = z*conj(w).
-    The two sigma-derivatives are taken by hand so the remaining object is a
-    plain rational expression in t, evaluable on jets.
+    L(z, w, t) = (1/(p pi^2)) d^2/dsigma^2 [1/(B(sigma) - t)] at sigma = z*conj(w),
+    B = (1-sigma)^p.  B, B' and B''/2 are read off one jet of B, so what is
+    left is a plain rational expression in t, evaluable on jets.
     """
 
     def ev(z, w, t: Jet1) -> Jet1:
         sigma = z[0] * w[0].conjugate()
-        base = 1.0 - sigma
-        d0 = base ** p
-        d1 = -p * base ** (p - 1.0)
-        d2 = p * (p - 1.0) * base ** (p - 2.0)
-        denom = d0 - t
-        val = 2.0 * d1 * d1 * jet_rpow(denom, -3.0) - d2 * jet_rpow(denom, -2.0)
+        b0, b1, b2_half = jet_rpow(1.0 - jet1_variable(sigma, 2), p).coeffs
+        denom = b0 - t
+        val = 2.0 * (b1 * b1 * jet_rpow(denom, -3.0) - b2_half * jet_rpow(denom, -2.0))
         return val * (1.0 / (p * math.pi ** 2))
 
     return CircularKernelProfile(eval=ev)
@@ -182,18 +176,11 @@ def ball_kernel(m: int, Z: Sequence[complex], W: Sequence[complex]) -> KernelVal
 
 def hartogs2_kernel(p: float, z: complex, zeta: complex,
                     w: complex, eta: complex) -> KernelValue:
-    """Kernel of {|z|^2 + |zeta|^(2/p) < 1} in C^2.
+    """Kernel of {|z|^2 + |zeta|^(2/p) < 1} in C^2, pflate_kernel's n = m = 1 case.
 
     (1/(p pi^2)) d^2/dt^2 [1/((1-t)^p - zeta*conj(eta))] at t = z*conj(w).
     """
-    d = DomainSpec((Block(1, 1.0), Block(1, p)))
-    for pt in ((z, zeta), (w, eta)):
-        if not contains(d, pt):
-            raise OutsideDomain(f"point {pt} outside the domain")
-    t0 = z * w.conjugate()
-    u = zeta * eta.conjugate()
-    jet = 1.0 / (jet_rpow(1.0 - jet1_variable(t0, 2), p) - u)
-    val = derivative_extract(jet, 2) / (p * math.pi ** 2)
+    val = pflate_kernel(1, 1, p, (z,), (zeta,), (w,), (eta,)).value
     return KernelValue(val, "hartogs2")
 
 
@@ -203,7 +190,8 @@ def pflate_kernel(n: int, m: int, p: float,
     """Kernel of {||z||^2 + ||Z||^(2/p) < 1}, z in C^n, Z in C^m.
 
     (1/(p pi^(n+m))) d^(n+m)/dt^(n+1) du^(m-1) [1/((1-t)^p - u)]
-    at t = <z,w>, u = <Z,W>.
+    at t = <z,w>, u = <Z,W>.  The u-derivative is (m-1)!/((1-t)^p - u)^m, so
+    one-variable jets in t carry the whole formula.
     """
     if n < 1 or m < 1:
         raise InvalidOrder(f"both block dimensions must be >= 1, got ({n},{m})")
@@ -211,12 +199,14 @@ def pflate_kernel(n: int, m: int, p: float,
     for pt in (tuple(z) + tuple(Z), tuple(w) + tuple(W)):
         if not contains(d, pt):
             raise OutsideDomain(f"point {pt} outside the domain")
-    t0 = pairing(z, w)
-    u0 = pairing(Z, W)
-    base = jet_rpow(1.0 - jet1_variable(t0, n + 1), p)
-    jet = 1.0 / (jet2_lift_t(base, u0, m - 1) - jet2_variable_u((t0, u0), (n + 1, m - 1)))
-    val = partial_extract(jet, n + 1, m - 1) / (p * math.pi ** (n + m))
-    return KernelValue(val, "pflate")
+    b = jet_rpow(1.0 - jet1_variable(pairing(z, w), n + 1), p) - pairing(Z, W)
+    g = 1.0 / b
+    for _ in range(m - 1):
+        g = g / b
+    val = derivative_extract(g, n + 1)
+    for i in range(2, m):
+        val = val * i
+    return KernelValue(val / (p * math.pi ** (n + m)), "pflate")
 
 
 def deflation_constant(p: float, q: float) -> float:

@@ -128,10 +128,8 @@ def k2_pair_slice() -> TwoVarSlice:
 
 
 def k2_axis_slice() -> SliceFunction:
-    """K2 on the axis: (6/pi^2) (1+x) / (1-x)^4, zero only at the boundary."""
-    return SliceFunction(
-        eval=lambda x: (6.0 / math.pi ** 2) * (1.0 + x) / (1.0 - x) ** 4.0,
-        description="k2 axis slice")
+    """K2 on the axis y = 0, (6/pi^2) (1+x) / (1-x)^4: zero only at the boundary."""
+    return SliceFunction(eval=lambda x: k2_values(x, 0.0), description="k2 axis slice")
 
 
 def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> complex:
