@@ -73,6 +73,10 @@ EXIT_VERIFY = 5
 _LOCUS_SPAN = 0.95
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
+# largest --res of locus and zeros: the k2 zero scan makes about res^4
+# evaluations (27 s at 192 on a 2-CPU Xeon VM) and a locus prints up to
+# 4 res^2 rows (7 MB at 256)
+_MAX_RES = 256
 
 
 class _Usage(Exception):
@@ -219,17 +223,28 @@ def _family_values(fam: str, flag: str, values: list | None) -> list:
         raise _Usage(f"--family {fam} needs --{flag}")
     param = _FAMILIES[fam][0]
     for v in values:
-        if param == "p" and not (v > 0.0 and math.isfinite(v)):
-            raise _Usage(f"--{flag} must be finite and > 0, got {_fmt(v)}")
+        if param == "p":
+            _check_positive(flag, v)
         if param == "n" and v < 2:
             raise _Usage(f"--{flag} must be >= 2, got {v}")
     return values
+
+
+def _check_positive(flag: str, v: float) -> None:
+    if not (v > 0.0 and math.isfinite(v)):
+        raise _Usage(f"--{flag} must be finite and > 0, got {_fmt(v)}")
+
+
+def _check_res(res: int) -> None:
+    if not 1 <= res <= _MAX_RES:
+        raise _Usage(f"--res must lie in 1..{_MAX_RES}, got {res}")
 
 
 # ------------------------------------------------------------------- eval
 
 
 def _cmd_eval(args) -> int:
+    _check_positive("tol", args.tol)
     d = parse_domain_spec(_read_domain_arg(args.domain))
     z = _parse_point(args.z, d.total_dim, "z")
     w = _parse_point(args.w, d.total_dim, "w") if args.w else z
@@ -273,6 +288,8 @@ def _read_domain_arg(text: str) -> str:
 
 
 def _cmd_zeros(args) -> int:
+    _check_positive("tol", args.tol)
+    _check_res(args.res)
     param, _, report, predicate, value = _family(args.family, args)
     rep = report(value, args)
     zeroed = len(rep.zeros) > 0
@@ -298,8 +315,7 @@ def _locus_rows(args):
     fam = args.family
     res = args.res
     _, make, _, _, value = _family(fam, args)
-    if res < 1:
-        raise _Usage(f"--res must be >= 1, got {res}")
+    _check_res(res)
     if fam in ODD_QUOTIENTS:
         slc = make(value)
         side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
@@ -535,23 +551,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-oracle", action="store_true",
                    help="also run the series oracle and report the difference")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="zero_flag marks |K| below this")
+                   help="zero_flag marks |K| below this, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("zeros", help="locate and certify slice zeros")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=48)
+    p.add_argument("--res", type=int, default=48,
+                   help=f"grid size of the k2 scan, 1..{_MAX_RES}")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="root tolerance of the k2 grid scan")
+                   help="root tolerance of the k2 grid scan, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("locus", help="emit |K| over a slice grid as CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=64)
+    p.add_argument("--res", type=int, default=64,
+                   help=f"grid points per axis, 1..{_MAX_RES}")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("verify", help="run the built-in identity suites")

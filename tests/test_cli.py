@@ -432,6 +432,11 @@ BAD_INPUTS = [
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
     ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
+    ("zeros-k2-res-cap", ["zeros", "--family", "k2", "--res", "100000"], 2),
+    ("locus-k2-res-cap", ["locus", "--family", "k2", "--res", "100000000"], 2),
+    ("eval-nan-tol", ["eval", "--domain", D22, "--z", "0.1,0.2", "--tol", "nan"], 2),
+    ("zeros-nan-tol", ["zeros", "--family", "k2", "--tol", "nan"], 2),
+    ("zeros-negative-tol", ["zeros", "--family", "k2", "--tol", "-1"], 2),
     # argparse refuses an option the command does not read before any handler
     # runs, so its usage line comes ahead of its error line
     ("zeros-format-csv", ["zeros", "--family", "mixed", "--n", "4", "--format", "csv"], 2,
