@@ -365,11 +365,9 @@ def _cmd_sweep(args) -> int:
     lines = []
     if param == "p":
         p1s = _family_values(fam, "p1", args.p1 and _parse_range(" ".join(args.p1), "p1"))
-        p2s = _parse_range(" ".join(args.p2), "p2") if args.p2 else [1.0]
-        lines.append("p1,p2,status")
+        lines.append("p1,status")
         for p1 in p1s:
-            for p2 in p2s:
-                lines.append(f"{_fmt(p1)},{_fmt(p2)},{status[zeroed(p1)]}")
+            lines.append(f"{_fmt(p1)},{status[zeroed(p1)]}")
     else:
         ns = _family_values(fam, "n", args.n and [
             int(round(v)) for v in _parse_range(" ".join(args.n), "n")])
@@ -583,7 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p1", nargs="+", default=None,
                    help="grid: A..B, A..B:STEP, N, or fixed N")
-    p.add_argument("--p2", nargs="+", default=None)
     p.add_argument("--n", nargs="+", default=None)
     p.add_argument("--out", default=None, help="output path (atomic write)")
 

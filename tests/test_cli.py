@@ -237,13 +237,12 @@ def test_locus_header_and_format(capsys):
 
 
 def test_sweep_axis1_threshold(capsys):
-    code = main(["sweep", "--family", "axis1",
-                 "--p1", "2..6", "--p2", "fixed", "1"])
+    code = main(["sweep", "--family", "axis1", "--p1", "2..6"])
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "p1,p2,status"
-    statuses = [ln.split(",")[2] for ln in lines[1:]]
+    assert lines[0] == "p1,status"
+    statuses = [ln.split(",")[1] for ln in lines[1:]]
     assert statuses == ["zero-free", "zeroed", "zeroed", "zeroed", "zeroed"]
 
 
@@ -473,7 +472,7 @@ OPTIONS = {
     "zeros": {"--family", "--p", "--n", "--res", "--tol", "--out"},
     "locus": {"--family", "--p", "--n", "--res", "--out"},
     "verify": {"--suite", "--seed", "--out"},
-    "sweep": {"--family", "--p1", "--p2", "--n", "--out"},
+    "sweep": {"--family", "--p1", "--n", "--out"},
 }
 
 
