@@ -73,9 +73,8 @@ EXIT_VERIFY = 5
 _LOCUS_SPAN = 0.95
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
-# largest --res of locus and zeros: the k2 zero scan makes about res^4
-# evaluations (27 s at 192 on a 2-CPU Xeon VM) and a locus prints up to
-# 4 res^2 rows (7 MB at 256)
+# largest --res of locus and zeros: the k2 zero scan makes ~res^4 evaluations
+# (27 s at 192 on a 2-CPU Xeon VM), a locus prints <= 4 res^2 rows (7 MB at 256)
 _MAX_RES = 256
 
 
@@ -206,9 +205,11 @@ _FAMILIES = {
 
 
 def _family(fam: str, args):
-    """Table entry of fam and its parameter value from --p or --n, checked."""
+    """Table entry of fam and its --p or --n value, both checked, as is --res."""
     if fam not in _FAMILIES:
         raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
+    if not 1 <= args.res <= _MAX_RES:
+        raise _Usage(f"--res must lie in 1..{_MAX_RES}, got {args.res}")
     entry = _FAMILIES[fam]
     if entry[0] is None:
         return entry + (None,)
@@ -233,11 +234,6 @@ def _family_values(fam: str, flag: str, values: list | None) -> list:
 def _check_positive(flag: str, v: float) -> None:
     if not (v > 0.0 and math.isfinite(v)):
         raise _Usage(f"--{flag} must be finite and > 0, got {_fmt(v)}")
-
-
-def _check_res(res: int) -> None:
-    if not 1 <= res <= _MAX_RES:
-        raise _Usage(f"--res must lie in 1..{_MAX_RES}, got {res}")
 
 
 # ------------------------------------------------------------------- eval
@@ -289,7 +285,6 @@ def _read_domain_arg(text: str) -> str:
 
 def _cmd_zeros(args) -> int:
     _check_positive("tol", args.tol)
-    _check_res(args.res)
     param, _, report, predicate, value = _family(args.family, args)
     rep = report(value, args)
     zeroed = len(rep.zeros) > 0
@@ -315,7 +310,6 @@ def _locus_rows(args):
     fam = args.family
     res = args.res
     _, make, _, _, value = _family(fam, args)
-    _check_res(res)
     if fam in ODD_QUOTIENTS:
         slc = make(value)
         side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
@@ -556,8 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=48,
-                   help=f"grid size of the k2 scan, 1..{_MAX_RES}")
+    p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 1..{_MAX_RES}")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="root tolerance of the k2 grid scan, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")
@@ -566,8 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=64,
-                   help=f"grid points per axis, 1..{_MAX_RES}")
+    p.add_argument("--res", type=int, default=64, help=f"points per axis, 1..{_MAX_RES}")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("verify", help="run the built-in identity suites")

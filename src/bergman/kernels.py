@@ -91,8 +91,7 @@ def hartogs_profile(p: float) -> CircularKernelProfile:
     """
 
     def ev(z, w, t: Jet1) -> Jet1:
-        sigma = z[0] * w[0].conjugate()
-        b0, b1, b2_half = jet_rpow(1.0 - jet1_variable(sigma, 2), p).coeffs
+        b0, b1, b2_half = jet_rpow(1.0 - jet1_variable(z[0] * w[0].conjugate(), 2), p).coeffs
         denom = b0 - t
         val = 2.0 * (b1 * b1 * jet_rpow(denom, -3.0) - b2_half * jet_rpow(denom, -2.0))
         return val * (1.0 / (p * math.pi ** 2))
@@ -180,8 +179,7 @@ def hartogs2_kernel(p: float, z: complex, zeta: complex,
 
     (1/(p pi^2)) d^2/dt^2 [1/((1-t)^p - zeta*conj(eta))] at t = z*conj(w).
     """
-    val = pflate_kernel(1, 1, p, (z,), (zeta,), (w,), (eta,)).value
-    return KernelValue(val, "hartogs2")
+    return KernelValue(pflate_kernel(1, 1, p, (z,), (zeta,), (w,), (eta,)).value, "hartogs2")
 
 
 def pflate_kernel(n: int, m: int, p: float,
