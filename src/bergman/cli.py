@@ -205,7 +205,7 @@ _FAMILIES = {
 
 
 def _family(fam: str, args):
-    """Table entry of fam and its --p or --n value, both checked, as is --res."""
+    """Table entry of fam and its --p or --n value, that value and --res checked."""
     if fam not in _FAMILIES:
         raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
     if not 1 <= args.res <= _MAX_RES:
