@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman.domains import diagonal_domain
 from bergman.jets import (
     jet1_variable,
     jet2_lift_t,
@@ -25,7 +26,6 @@ from bergman.jets import (
     jet_rpow,
     partial_extract,
 )
-from bergman.domains import diagonal_domain
 from bergman.kernels import (
     KernelPoint,
     ball_kernel,
@@ -70,12 +70,10 @@ def block_point(rng, dims_ps, phi):
     shares *= phi / shares.sum()
     out = []
     for s, (dim, p) in zip(shares, dims_ps):
-        v = np.array([coordinate(rng, 1.0) for _ in range(dim)])
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            out.extend(complex(c) for c in v * (s ** (p / 2.0) / norm))
-        else:
-            out.extend(complex(c) for c in v)
+        v = [coordinate(rng, 1.0) for _ in range(dim)]
+        norm = math.sqrt(sum(abs(c) ** 2 for c in v))
+        scale = s ** (p / 2.0) / norm if norm > 0.0 else 0.0
+        out.extend(complex(c * scale) for c in v)
     return tuple(out)
 
 
