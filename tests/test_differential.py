@@ -100,8 +100,8 @@ def series_bound(route, exps, z, w):
 
 
 def k2_draw(rng):
-    return (2.0, 2.0), diag_point(rng, (2.0, 2.0), SERIES_PHI), \
-        diag_point(rng, (2.0, 2.0), SERIES_PHI)
+    exps = (2.0, 2.0)
+    return exps, diag_point(rng, exps, SERIES_PHI), diag_point(rng, exps, SERIES_PHI)
 
 
 def hartogs_draw(rng):
