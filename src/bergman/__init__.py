@@ -9,7 +9,6 @@ formula-independent series/Monte Carlo oracle, and a command-line front end.
 from .domains import (
     Block,
     DomainSpec,
-    MultiIndex,
     contains,
     diagonal_domain,
     monomial_norm_sq,
@@ -92,7 +91,7 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "DomainSpec", "MultiIndex", "contains", "diagonal_domain",
+    "Block", "DomainSpec", "contains", "diagonal_domain",
     "monomial_norm_sq", "parse_domain_spec", "phi", "volume",
     "BergmanError", "ContourThroughZero", "DimensionMismatch", "InvalidOrder",
     "NoConvergence", "NonIntegerFold", "OutsideDomain", "PoleHit",

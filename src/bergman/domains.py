@@ -65,19 +65,6 @@ def diagonal_domain(*ps: float) -> DomainSpec:
     return DomainSpec(tuple(Block(1, float(p)) for p in ps))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Monomial exponents, one per complex coordinate."""
-
-    entries: tuple[int, ...]
-
-
-def _entries(alpha) -> tuple[int, ...]:
-    if isinstance(alpha, MultiIndex):
-        return alpha.entries
-    return tuple(int(a) for a in alpha)
-
-
 def parse_domain_spec(text) -> DomainSpec:
     """Parse the JSON domain description {"blocks":[{"dim":int,"p":number},...]}.
 
@@ -183,7 +170,7 @@ def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
     if not d.is_diagonal:
         raise UnsupportedDomain(
             "monomial norms are defined only for all-diagonal domains")
-    a = _entries(alpha)
+    a = tuple(int(k) for k in alpha)
     n = d.total_dim
     if len(a) != n:
         raise DimensionMismatch(

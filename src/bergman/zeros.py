@@ -259,11 +259,10 @@ def k2_interior_positivity(x: complex, y: complex) -> bool:
     return abs((2.0 / math.pi ** 2) * num) > (2.0 / math.pi ** 2) * m * m
 
 
-def grid_zero_scan(slc, resolution: int, tol: float = 1e-9,
-                   margin: float = DEFAULT_SCAN_MARGIN) -> ZeroReport:
+def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     """Polar-grid modulus scan with Newton refinement of local minima.
 
-    For a SliceFunction: scans |t| <= 1 - margin, refines every strict local
+    For a SliceFunction: scans |t| <= 1 - DEFAULT_SCAN_MARGIN, refines every strict local
     minimum of |f|, and keeps roots certified by |f| < tol.  For a
     TwoVarSlice: scans admissible pairing pairs and reports the grid minimum;
     candidate cells refine through the slice's x-restriction when provided.
@@ -271,8 +270,8 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9,
     if resolution < 8:
         raise PreconditionViolated(f"resolution must be >= 8, got {resolution}")
     if isinstance(slc, TwoVarSlice):
-        return _grid_scan_two_var(slc, resolution, tol, margin)
-    rmax = 1.0 - margin
+        return _grid_scan_two_var(slc, resolution, tol)
+    rmax = 1.0 - DEFAULT_SCAN_MARGIN
     rs = [rmax * (i + 1) / resolution for i in range(resolution)]
     thetas = [2.0 * math.pi * j / resolution for j in range(resolution)]
     mods = [[abs(slc.eval(r * cmath.exp(1j * th))) for th in thetas] for r in rs]
@@ -303,11 +302,10 @@ def _is_local_min(mods: list[list[float]], i: int, j: int) -> bool:
     return True
 
 
-def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float,
-                       margin: float) -> ZeroReport:
+def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroReport:
     import numpy as np
 
-    rmax = 1.0 - margin
+    rmax = 1.0 - DEFAULT_SCAN_MARGIN
     side = np.linspace(rmax / resolution, rmax, resolution)
     ang = 2.0 * math.pi * np.arange(resolution) / resolution
     phase = np.exp(1j * ang)

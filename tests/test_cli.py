@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bergman import cli
+from bergman import cli, errors
 from bergman.cli import _FAMILIES, _build_parser, main
 
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -425,6 +425,17 @@ BAD_INPUTS = [
     ("sweep-n-zero", ["sweep", "--family", "simplex", "--n", "0..3"], 2),
     ("sweep-cap", ["sweep", "--family", "axis1", "--p1", "1..1e9"], 2),
     ("sweep-inf-bound", ["sweep", "--family", "axis1", "--p1", "1..inf"], 2),
+    ("sweep-n-fraction", ["sweep", "--family", "simplex", "--n", "1.6"], 2),
+    ("sweep-n-half", ["sweep", "--family", "mixed", "--n", "3.5"], 2),
+    ("sweep-n-fraction-step", ["sweep", "--family", "simplex", "--n", "2..3:0.4"], 2),
+    # interior points within rounding of a pole of the closed form
+    ("interior-pole-k2", ["eval", "--domain", D22, "--z", "0.5,0.499999"], 2),
+    ("interior-pole-folded",
+     ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":2.5}]}',
+      "--z", "0.5,0.499999,0"], 2),
+    ("interior-pole-slice-huge-p",
+     ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":1e300}]}',
+      "--z", "0.3,0"], 2),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),
@@ -464,6 +475,23 @@ def test_bad_input_exit_codes(argv, code, start, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(start), proc.stderr
     assert proc.stdout == ""
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.BergmanError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES])
+def test_every_library_error_exits_with_an_error_line(monkeypatch, capsys, cls):
+    # OutsideDomain exits 3 and every other library error 2, never a traceback
+    def fail(*args):
+        raise cls("$", "forced") if cls is errors.SchemaError else cls("forced")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    code = main(["eval", "--domain", D22, "--z", "0.1,0.2"])
+    err = capsys.readouterr().err
+    assert code == (3 if cls is errors.OutsideDomain else 2)
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # Each subcommand parses exactly the options its handler reads.

@@ -7,7 +7,6 @@ import pytest
 from bergman.domains import (
     Block,
     DomainSpec,
-    MultiIndex,
     contains,
     diagonal_domain,
     gamma_fn,
@@ -122,7 +121,7 @@ def test_monomial_norm_two_block_volume():
 
 def test_monomial_norm_simplex_c3():
     d = diagonal_domain(2, 2, 2)
-    assert monomial_norm_sq(d, MultiIndex((0, 0, 0))) == pytest.approx(
+    assert monomial_norm_sq(d, (0, 0, 0)) == pytest.approx(
         math.pi ** 3 / 90.0, rel=1e-12)
 
 

@@ -3,14 +3,16 @@
 Each test proves an identity the numeric routes rely on: the slice formula
 at p = 2 is K2, its x -> 0 limit is axis_limit_kernel for every p, the
 odd-quotient zeros solve ((1 - t)/(1 + t))^m = 1, and the simplex
-restriction constant is the product of its deflation steps.
+restriction constant is the product of its deflation steps.  The written-out
+F'' of the Hartogs profile is checked against sympy's derivative.
 """
 
 import math
 
 import pytest
 
-from bergman.kernels import _axis2_coefficients, simplex_restriction_constant
+from bergman.jets import jet1_variable
+from bergman.kernels import _axis2_coefficients, _hartogs_fpp, simplex_restriction_constant
 
 sp = pytest.importorskip("sympy")
 
@@ -22,6 +24,21 @@ def slice_formula(p):
     the slice kernel at x = xi^2 as slice_kernel_kp states it."""
     f2 = sp.diff(1 / ((1 - s) ** p - y), s, 2)
     return (f2.subs(s, xi) - f2.subs(s, -xi)) / (4 * p * sp.pi ** 2 * xi)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.5])
+def test_hartogs_fpp_is_the_second_derivative(p):
+    # on scalars, and with y a Jet1, whose next coefficient is d/dy F''
+    f2 = sp.diff(1 / ((1 - s) ** sp.nsimplify(p) - y), s, 2)
+    for s0, y0 in ((0.3 + 0.2j, -0.1 + 0.25j), (-0.45j, 0.05 - 0.3j), (-0.6 + 0.1j, 0.2j)):
+        at = {s: sp.sympify(s0), y: sp.sympify(y0)}
+        want = complex(f2.subs(at).evalf(30))
+        want_dy = complex(sp.diff(f2, y).subs(at).evalf(30))
+        got = _hartogs_fpp(p, s0, y0)
+        jet = _hartogs_fpp(p, s0, jet1_variable(y0, 1)).coeffs
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(jet[0] - want) <= 1e-13 * abs(want)
+        assert abs(jet[1] - want_dy) <= 1e-13 * abs(want_dy)
 
 
 def test_slice_formula_at_p2_is_k2():
