@@ -262,8 +262,8 @@ def k2_interior_positivity(x: complex, y: complex) -> bool:
 def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     """Polar-grid modulus scan with Newton refinement of local minima.
 
-    For a SliceFunction: scans |t| <= 1 - DEFAULT_SCAN_MARGIN, refines every strict local
-    minimum of |f|, and keeps roots certified by |f| < tol.  For a
+    For a SliceFunction: scans |t| <= 1 - DEFAULT_SCAN_MARGIN, refines every
+    strict local minimum of |f|, and keeps roots certified by |f| < tol.  For a
     TwoVarSlice: scans admissible pairing pairs and reports the grid minimum;
     candidate cells refine through the slice's x-restriction when provided.
     """
