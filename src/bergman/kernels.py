@@ -85,19 +85,27 @@ def disc_profile() -> CircularKernelProfile:
 def hartogs_profile(p: float) -> CircularKernelProfile:
     """Profile in the fiber pairing t for {|z|^2 + |zeta|^(2/p) < 1}.
 
-    L(z, w, t) = (1/(p pi^2)) F''(sigma) at sigma = z*conj(w), with
-    F(s) = ((1-s)^p - t)^(-1) the profile _hartogs_fpp differentiates.
+    L(z, w, t) = (1/(p pi^2)) d^2/dsigma^2 [1/(B(sigma) - t)] at sigma = z*conj(w),
+    B = (1-sigma)^p.  B, B' and B''/2 are read off one jet of B, so what is
+    left is a plain rational expression in t, evaluable on jets.
     """
 
     def ev(z, w, t: Jet1) -> Jet1:
-        return _hartogs_fpp(p, z[0] * w[0].conjugate(), t) / (p * math.pi ** 2)
+        b0, b1, b2_half = jet_rpow(1.0 - jet1_variable(z[0] * w[0].conjugate(), 2), p).coeffs
+        denom = b0 - t
+        val = 2.0 * (b1 * b1 * jet_rpow(denom, -3.0) - b2_half * jet_rpow(denom, -2.0))
+        return val * (1.0 / (p * math.pi ** 2))
 
     return CircularKernelProfile(eval=ev)
 
 
 def _hartogs_fpp(p: float, s, y):
-    """F''(s) of F(s) = ((1-s)^p - y)^(-1), written out; evaluates on scalars,
-    on numpy arrays and with y a Jet1."""
+    """F''(s) of F(s) = ((1-s)^p - y)^(-1), written out, on scalars and numpy arrays.
+
+    It divides by ((1-s)^p - y)^3, which underflows once 3p ln(1/|1-s|)
+    passes about 708 at small |y| (p = 35 at 1 - s = 0.001), long before
+    F'' does; the scalar routes take F'' from jets instead.
+    """
     base = 1.0 - s
     denom = base ** p - y
     return (2.0 * p * p * base ** (2.0 * p - 2.0)
@@ -366,6 +374,8 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
 
         (1/(4 p pi^2 xi)) [F''(xi) - F''(-xi)],   F(s) = ((1-s)^p - y)^(-1)
 
+    F'' is read off order-2 jets, not _hartogs_fpp: the jet reciprocal never
+    forms ((1-s)^p - y)^3, which underflows near the boundary for large p.
     For |xi| < EPS_SWITCH the bracket is expanded as an odd jet and divided by
     xi coefficientwise, which is exact at x = 0.
     """
@@ -373,7 +383,9 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable from inside")
     xi = cmath.sqrt(x)
     if abs(xi) >= EPS_SWITCH:
-        bracket = _hartogs_fpp(p, xi, y) - _hartogs_fpp(p, -xi, y)
+        fp = 1.0 / (jet_rpow(1.0 - jet1_variable(xi, 2), p) - y)
+        fm = 1.0 / (jet_rpow(1.0 - jet1_variable(-xi, 2), p) - y)
+        bracket = derivative_extract(fp, 2) - derivative_extract(fm, 2)
         return KernelValue(bracket / (4.0 * p * math.pi ** 2 * xi), "slice_kp")
     f = 1.0 / (jet_rpow(1.0 - jet1_variable(0j, 7), p) - y)
     c = f.coeffs
@@ -547,8 +559,9 @@ def k2_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized slice_kernel_kp over arrays of slice pairings.
 
-    The direct form takes F'' from _hartogs_fpp, as slice_kernel_kp does;
-    entries with |x| below EPS_SWITCH^2 fall back to the scalar limit path.
+    The direct form takes F'' from _hartogs_fpp, whose cube of the
+    denominator limits it to where that cube stays a normal double; entries
+    with |x| below EPS_SWITCH^2 fall back to the scalar limit path.
     """
     import numpy as np
 

@@ -93,6 +93,19 @@ def test_eval_formula_dispatch(capsys):
         assert rec["value"]["re"] > 0.0
 
 
+def test_eval_slice_large_p_near_the_boundary(capsys):
+    # ((1-s)^p - y)^3 would underflow here; K = (p+1) ((1-xi)^-(p+2) - (1+xi)^-(p+2))
+    # / (4 pi^2 xi) on the axis y = 0
+    code, rec = run_json(capsys, [
+        "eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":40}]}',
+        "--z", "0.999,0"])
+    xi = 0.999
+    want = 41.0 * ((1.0 - xi) ** -42.0 - (1.0 + xi) ** -42.0) / (4.0 * math.pi ** 2 * xi)
+    assert code == 0
+    assert rec["formula"] == "slice_kp"
+    assert rec["value"]["re"] == pytest.approx(want, rel=1e-12)
+
+
 def test_eval_outside_domain_exit_3(capsys):
     assert main(["eval", "--domain", '{"blocks":[{"dim":1,"p":2}]}',
                  "--z", "1.5"]) == 3
@@ -428,12 +441,13 @@ BAD_INPUTS = [
     ("sweep-n-fraction", ["sweep", "--family", "simplex", "--n", "1.6"], 2),
     ("sweep-n-half", ["sweep", "--family", "mixed", "--n", "3.5"], 2),
     ("sweep-n-fraction-step", ["sweep", "--family", "simplex", "--n", "2..3:0.4"], 2),
-    # interior points within rounding of a pole of the closed form
+    # interior points within rounding of a pole of the closed form, and one
+    # where (1-s)^p underflows to 0 and the denominator reads 0
     ("interior-pole-k2", ["eval", "--domain", D22, "--z", "0.5,0.499999"], 2),
     ("interior-pole-folded",
      ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":2.5}]}',
       "--z", "0.5,0.499999,0"], 2),
-    ("interior-pole-slice-huge-p",
+    ("interior-underflow-slice-huge-p",
      ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":1e300}]}',
       "--z", "0.3,0"], 2),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),

@@ -314,6 +314,29 @@ def test_slice_rejects_outside_pairings():
         slice_kernel_kp(2.0, 0.6 + 0j, 0.5 + 0j)
 
 
+def scaled_fpp(p, s, y):
+    # F'' of F(s) = ((1-s)^p - y)^(-1) in a form that never cubes
+    # D = (1-s)^p - y: with q = (1-s)^p / D, F'' = p q (2pq - p + 1) / ((1-s)^2 D)
+    b = 1.0 - s
+    d = b ** p - y
+    q = b ** p / d
+    return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
+
+
+@pytest.mark.parametrize("p, r, y", [
+    (35.0, 0.999, 0j), (40.0, 0.999, 0j), (40.0, 0.999, 1e-125j),
+    (110.0, 0.9, 0j), (110.0, 0.9, -1e-115 + 0j)])
+def test_slice_large_p_near_the_boundary(p, r, y):
+    # (1 - xi)^(3p) lies below the smallest double at these points; K does not
+    x = complex(r * r)
+    xi = cmath.sqrt(x)
+    want = (scaled_fpp(p, xi, y) - scaled_fpp(p, -xi, y)) / (4.0 * p * math.pi ** 2 * xi)
+    assert abs(slice_kernel_kp(p, x, y).value - want) <= 1e-12 * abs(want)
+    if y == 0:
+        got = evaluate(diagonal_domain(2.0, p), (r, 0j), (r, 0j)).value
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_k2_boundary_zero_is_exact():
     assert k2_closed_form(-1.0, 0.0).value == 0.0
 
