@@ -11,7 +11,6 @@ from .domains import (
     DomainSpec,
     contains,
     diagonal_domain,
-    monomial_norm_sq,
     parse_domain_spec,
     phi,
     volume,
@@ -57,7 +56,6 @@ from .kernels import (
     mixed_family_kernel,
     pairing,
     pflate_kernel,
-    simplex_restricted_kernel,
     simplex_restriction_constant,
     slice_kernel_kp,
 )
@@ -92,7 +90,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block", "DomainSpec", "contains", "diagonal_domain",
-    "monomial_norm_sq", "parse_domain_spec", "phi", "volume",
+    "parse_domain_spec", "phi", "volume",
     "BergmanError", "ContourThroughZero", "DimensionMismatch", "InvalidOrder",
     "NoConvergence", "NonIntegerFold", "OutsideDomain", "PoleHit",
     "PreconditionViolated", "SchemaError", "UnsupportedDomain",
@@ -102,8 +100,8 @@ __all__ = [
     "axis_limit_kernel", "ball_kernel", "deflation_constant", "deflation_pair",
     "disc_profile", "evaluate", "fold", "general_folded_kernel", "hartogs2_kernel",
     "hartogs_profile", "inflate", "k2_closed_form", "mixed_family_kernel",
-    "pairing", "pflate_kernel", "simplex_restricted_kernel",
-    "simplex_restriction_constant", "slice_kernel_kp",
+    "pairing", "pflate_kernel", "simplex_restriction_constant",
+    "slice_kernel_kp",
     "ReproducingResidual", "SeriesConfig", "mc_volume", "reproducing_check",
     "series_kernel",
     "SliceFunction", "TwoVarSlice", "Zero", "ZeroReport", "axis1_slice",

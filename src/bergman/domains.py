@@ -178,10 +178,6 @@ def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
     return log_norm_table(d)(a)
 
 
-def monomial_norm_sq(d: DomainSpec, alpha) -> float:
-    return math.exp(log_monomial_norm_sq(d, alpha))
-
-
 def volume(d: DomainSpec) -> float:
     """Lebesgue volume, from the Gamma closed form.
 

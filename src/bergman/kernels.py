@@ -35,9 +35,6 @@ from .jets import (
 # about |x|^-1 digits to cancellation and the odd-jet limit branch takes over.
 EPS_SWITCH = 1e-3
 
-# candidate-pole guard for closed-form denominators
-_POLE_EPS = 1e-14
-
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -85,31 +82,33 @@ def disc_profile() -> CircularKernelProfile:
 def hartogs_profile(p: float) -> CircularKernelProfile:
     """Profile in the fiber pairing t for {|z|^2 + |zeta|^(2/p) < 1}.
 
-    L(z, w, t) = (1/(p pi^2)) d^2/dsigma^2 [1/(B(sigma) - t)] at sigma = z*conj(w),
-    B = (1-sigma)^p.  B, B' and B''/2 are read off one jet of B, so what is
-    left is a plain rational expression in t, evaluable on jets.
+    L(z, w, t) = (1/(p pi^2)) F''(sigma), F(s) = ((1-s)^p - t)^(-1), at
+    sigma = z*conj(w); _hartogs_fpp evaluates F'' on a jet in t.
     """
 
     def ev(z, w, t: Jet1) -> Jet1:
-        b0, b1, b2_half = jet_rpow(1.0 - jet1_variable(z[0] * w[0].conjugate(), 2), p).coeffs
-        denom = b0 - t
-        val = 2.0 * (b1 * b1 * jet_rpow(denom, -3.0) - b2_half * jet_rpow(denom, -2.0))
-        return val * (1.0 / (p * math.pi ** 2))
+        return _hartogs_fpp(p, z[0] * w[0].conjugate(), t) * (1.0 / (p * math.pi ** 2))
 
     return CircularKernelProfile(eval=ev)
 
 
 def _hartogs_fpp(p: float, s, y):
-    """F''(s) of F(s) = ((1-s)^p - y)^(-1), written out, on scalars and numpy arrays.
+    """F''(s) of F(s) = ((1-s)^p - y)^(-1), on scalars, numpy arrays and a Jet1 y.
 
-    It divides by ((1-s)^p - y)^3, which underflows once 3p ln(1/|1-s|)
-    passes about 708 at small |y| (p = 35 at 1 - s = 0.001), long before
-    F'' does; the scalar routes take F'' from jets instead.
+    With D = (1-s)^p - y and q = (1-s)^p / D,
+    F'' = p q (2pq - p + 1) / ((1-s)^2 D).  D is never cubed, so F'' stays a
+    normal double near the boundary at large p, where D^3 would underflow.
     """
-    base = 1.0 - s
-    denom = base ** p - y
-    return (2.0 * p * p * base ** (2.0 * p - 2.0)
-            - p * (p - 1.0) * base ** (p - 2.0) * denom) / denom ** 3
+    b = 1.0 - s
+    bp = b ** p
+    d = bp - y
+    q = bp / d
+    return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
+
+
+def _slice_direct(p: float, xi, y):
+    """(1/(4 p pi^2 xi)) [F''(xi) - F''(-xi)], the direct slice form, on scalars and arrays."""
+    return (_hartogs_fpp(p, xi, y) - _hartogs_fpp(p, -xi, y)) / (4.0 * p * math.pi ** 2 * xi)
 
 
 def _fold_exponent(p) -> int:
@@ -325,8 +324,6 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
             om_bar = cmath.exp(-2j * math.pi * j / p_list[k])
             tau += s[k] * om_bar
             weight *= om_bar
-        if abs((1.0 - tau) ** p - y) < _POLE_EPS:
-            raise PoleHit(f"formula denominator vanished at t={tau}")
         g = 1.0 / (jet_rpow(1.0 - jet1_variable(tau, order), p) - y)
         contrib = _series_filtered_sum(g, n + 1, [p_list[k] for k in series],
                                        [v[k] for k in series], series_imax)
@@ -374,19 +371,20 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
 
         (1/(4 p pi^2 xi)) [F''(xi) - F''(-xi)],   F(s) = ((1-s)^p - y)^(-1)
 
-    F'' is read off order-2 jets, not _hartogs_fpp: the jet reciprocal never
-    forms ((1-s)^p - y)^3, which underflows near the boundary for large p.
     For |xi| < EPS_SWITCH the bracket is expanded as an odd jet and divided by
-    xi coefficientwise, which is exact at x = 0.
+    xi coefficientwise, which is exact at x = 0.  An interior D = (1-s)^p - y
+    reads 0 only where (1-xi)^p underflows, and K overflows there: that
+    raises OverflowError.
     """
     if math.sqrt(abs(x)) + abs(y) ** (1.0 / p) >= 1.0:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable from inside")
     xi = cmath.sqrt(x)
     if abs(xi) >= EPS_SWITCH:
-        fp = 1.0 / (jet_rpow(1.0 - jet1_variable(xi, 2), p) - y)
-        fm = 1.0 / (jet_rpow(1.0 - jet1_variable(-xi, 2), p) - y)
-        bracket = derivative_extract(fp, 2) - derivative_extract(fm, 2)
-        return KernelValue(bracket / (4.0 * p * math.pi ** 2 * xi), "slice_kp")
+        try:
+            return KernelValue(_slice_direct(p, xi, y), "slice_kp")
+        except ZeroDivisionError:
+            raise OverflowError(
+                f"(1 - xi)^p underflows to 0 at p = {p}, xi = {xi}") from None
     f = 1.0 / (jet_rpow(1.0 - jet1_variable(0j, 7), p) - y)
     c = f.coeffs
     # (1/xi) [F''(xi) - F''(-xi)] = 12 c3 + 40 c5 xi^2 + 84 c7 xi^4 + ...
@@ -423,7 +421,7 @@ def k2_closed_form(x: complex, y: complex) -> KernelValue:
     if math.sqrt(abs(x)) + math.sqrt(abs(y)) > 1.0 + 1e-12:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable")
     num, delta = _k2_terms(x, y)
-    if abs(delta) ** 3 < _POLE_EPS:
+    if delta == 0:
         raise PoleHit(f"denominator vanished at ({x}, {y})")
     return KernelValue(2.0 * num / (math.pi ** 2 * delta ** 3.0), "k2_closed")
 
@@ -445,21 +443,6 @@ def simplex_restriction_constant(n: int) -> float:
     for i in range(1, n - 1):
         c *= math.pi / deflation_constant(2.0, 2.0 * i)
     return c
-
-
-def simplex_restricted_kernel(n: int, x: complex) -> KernelValue:
-    """Kernel of |z_1| + ... + |z_n| < 1 on the slice z_2 = ... = z_n = 0.
-
-    Equals c_n * K_(2n-2)(x, 0) with c_n from iterated deflation; x is the
-    pairing z1*conj(w1) of the remaining coordinate.
-    """
-    if n < 2:
-        raise InvalidOrder(f"dimension must be >= 2, got {n}")
-    if abs(x) >= 1.0:
-        raise OutsideDomain(f"slice pairing {x} not reachable")
-    inner = slice_kernel_kp(2.0 * n - 2.0, x, 0j)
-    return KernelValue(simplex_restriction_constant(n) * inner.value,
-                       "simplex_restricted", inner.near_singular_limit)
 
 
 def mixed_family_kernel(n: int, z: Sequence[complex],
@@ -559,9 +542,7 @@ def k2_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized slice_kernel_kp over arrays of slice pairings.
 
-    The direct form takes F'' from _hartogs_fpp, whose cube of the
-    denominator limits it to where that cube stays a normal double; entries
-    with |x| below EPS_SWITCH^2 fall back to the scalar limit path.
+    Entries with |x| below EPS_SWITCH^2 fall back to the scalar limit path.
     """
     import numpy as np
 
@@ -569,10 +550,8 @@ def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     xi = np.sqrt(x)
     small = np.abs(xi) < EPS_SWITCH
-    direct, y_direct = xi[~small], y[~small]
     out = np.empty_like(xi)
-    out[~small] = ((_hartogs_fpp(p, direct, y_direct) - _hartogs_fpp(p, -direct, y_direct))
-                   / (4.0 * p * math.pi ** 2 * direct))
+    out[~small] = _slice_direct(p, xi[~small], y[~small])
     if np.any(small):
         flat = np.argwhere(small)
         for pos in flat:

@@ -17,6 +17,8 @@ import cmath
 import math
 
 from bergman.domains import diagonal_domain, log_monomial_norm_sq
+from bergman.jets import derivative_extract, jet1_variable, jet_rpow
+from bergman.kernels import KernelValue, simplex_restriction_constant, slice_kernel_kp
 
 # central stencils with O(h^2) truncation error, keyed by derivative order
 _STENCILS = {
@@ -174,3 +176,24 @@ def slice_x_coefficient(p, y, a):
             return acc
         yb *= y
         b += 1
+
+
+def jet_fpp(p, s, y):
+    """F''(s) of F(s) = ((1-s)^p - y)^(-1) read off an order-2 jet.
+
+    A derivation independent of the library's written-out F'': the jet
+    reciprocal of (1-s)^p - y, so it never cubes the denominator either.
+    """
+    return derivative_extract(1.0 / (jet_rpow(1.0 - jet1_variable(s, 2), p) - y), 2)
+
+
+def simplex_restricted_kernel(n, x):
+    """Kernel of |z_1| + ... + |z_n| < 1 on the slice z_2 = ... = z_n = 0.
+
+    Equals c_n * K_(2n-2)(x, 0) with c_n from iterated deflation; x is the
+    pairing z1*conj(w1) of the remaining coordinate.  The deflation-side
+    reference against which the folded and odd-quotient routes are checked.
+    """
+    inner = slice_kernel_kp(2.0 * n - 2.0, x, 0j)
+    return KernelValue(simplex_restriction_constant(n) * inner.value,
+                       "simplex_restricted", inner.near_singular_limit)

@@ -106,6 +106,34 @@ def test_eval_slice_large_p_near_the_boundary(capsys):
     assert rec["value"]["re"] == pytest.approx(want, rel=1e-12)
 
 
+def test_eval_near_an_interior_pole(capsys):
+    # phi = 0.999999: the closed-form denominators are tiny there, not zero
+    mp = pytest.importorskip("mpmath")
+    code, rec = run_json(capsys, ["eval", "--domain", D22, "--z", "0.5,0.499999"])
+    assert code == 0
+    with mp.workdps(40):
+        x, y = mp.mpf(0.5) ** 2, mp.mpf(0.499999) ** 2
+        s = 1 - x - y
+        want = float(2 / mp.pi ** 2 * (3 * s * (1 - (x - y) ** 2) + 8 * x * y)
+                     / (s ** 2 - 4 * x * y) ** 3)
+    assert want == pytest.approx(5.0660693e16, rel=1e-7)
+    assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - want) <= 1e-9 * want
+
+    # the root sum of general_folded_kernel over the two p = 2 coordinates:
+    # K = (p+1)(p+2)/(16 pi^3 s1 s2) sum e1 e2 (1 - e1 s1 - e2 s2)^-(p+3) at y = 0
+    code, rec = run_json(capsys, [
+        "eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":2.5}]}',
+        "--z", "0.5,0.499999,0"])
+    assert code == 0
+    with mp.workdps(50):
+        p, s1, s2 = mp.mpf(2.5), mp.mpf(0.5), mp.mpf(0.499999)
+        total = sum(e1 * e2 * (1 - e1 * s1 - e2 * s2) ** -(p + 3)
+                    for e1 in (1, -1) for e2 in (1, -1))
+        want = float((p + 1) * (p + 2) / (16 * mp.pi ** 3 * s1 * s2) * total)
+    assert want == pytest.approx(1.2699e32, rel=1e-4)
+    assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - want) <= 1e-7 * want
+
+
 def test_eval_outside_domain_exit_3(capsys):
     assert main(["eval", "--domain", '{"blocks":[{"dim":1,"p":2}]}',
                  "--z", "1.5"]) == 3
@@ -441,15 +469,10 @@ BAD_INPUTS = [
     ("sweep-n-fraction", ["sweep", "--family", "simplex", "--n", "1.6"], 2),
     ("sweep-n-half", ["sweep", "--family", "mixed", "--n", "3.5"], 2),
     ("sweep-n-fraction-step", ["sweep", "--family", "simplex", "--n", "2..3:0.4"], 2),
-    # interior points within rounding of a pole of the closed form, and one
-    # where (1-s)^p underflows to 0 and the denominator reads 0
-    ("interior-pole-k2", ["eval", "--domain", D22, "--z", "0.5,0.499999"], 2),
-    ("interior-pole-folded",
-     ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":2.5}]}',
-      "--z", "0.5,0.499999,0"], 2),
+    # (1-s)^p underflows to 0 and the denominator reads 0: K overflows there
     ("interior-underflow-slice-huge-p",
      ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":1e300}]}',
-      "--z", "0.3,0"], 2),
+      "--z", "0.3,0"], 2, "error: floating-point overflow"),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),

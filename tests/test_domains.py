@@ -11,7 +11,7 @@ from bergman.domains import (
     diagonal_domain,
     gamma_fn,
     log_gamma,
-    monomial_norm_sq,
+    log_monomial_norm_sq,
     parse_domain_spec,
     phi,
     volume,
@@ -100,6 +100,10 @@ def test_contains_examples():
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         contains(diagonal_domain(2, 2), (0.1,))
+
+
+def monomial_norm_sq(d, alpha):
+    return math.exp(log_monomial_norm_sq(d, alpha))
 
 
 def test_monomial_norm_disc():

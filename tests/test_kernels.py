@@ -33,11 +33,12 @@ from bergman.kernels import (
     mixed_family_kernel,
     pairing,
     pflate_kernel,
-    simplex_restricted_kernel,
     simplex_restriction_constant,
     slice_kernel_kp,
     slice_kp_values,
 )
+
+from _oracles import jet_fpp, simplex_restricted_kernel
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
@@ -314,15 +315,6 @@ def test_slice_rejects_outside_pairings():
         slice_kernel_kp(2.0, 0.6 + 0j, 0.5 + 0j)
 
 
-def scaled_fpp(p, s, y):
-    # F'' of F(s) = ((1-s)^p - y)^(-1) in a form that never cubes
-    # D = (1-s)^p - y: with q = (1-s)^p / D, F'' = p q (2pq - p + 1) / ((1-s)^2 D)
-    b = 1.0 - s
-    d = b ** p - y
-    q = b ** p / d
-    return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
-
-
 @pytest.mark.parametrize("p, r, y", [
     (35.0, 0.999, 0j), (40.0, 0.999, 0j), (40.0, 0.999, 1e-125j),
     (110.0, 0.9, 0j), (110.0, 0.9, -1e-115 + 0j)])
@@ -330,8 +322,12 @@ def test_slice_large_p_near_the_boundary(p, r, y):
     # (1 - xi)^(3p) lies below the smallest double at these points; K does not
     x = complex(r * r)
     xi = cmath.sqrt(x)
-    want = (scaled_fpp(p, xi, y) - scaled_fpp(p, -xi, y)) / (4.0 * p * math.pi ** 2 * xi)
+    want = (jet_fpp(p, xi, y) - jet_fpp(p, -xi, y)) / (4.0 * p * math.pi ** 2 * xi)
     assert abs(slice_kernel_kp(p, x, y).value - want) <= 1e-12 * abs(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = slice_kp_values(p, np.array([x]), np.array([y]))
+    assert abs(got - want) <= 1e-12 * abs(want)
     if y == 0:
         got = evaluate(diagonal_domain(2.0, p), (r, 0j), (r, 0j)).value
         assert abs(got - want) <= 1e-12 * abs(want)

@@ -3,8 +3,8 @@
 Each test proves an identity the numeric routes rely on: the slice formula
 at p = 2 is K2, its x -> 0 limit is axis_limit_kernel for every p, the
 odd-quotient zeros solve ((1 - t)/(1 + t))^m = 1, and the simplex
-restriction constant is the product of its deflation steps.  The written-out
-F'' of the Hartogs profile is checked against sympy's derivative.
+restriction constant is the product of its deflation steps.  The F'' of the
+Hartogs profile is checked against sympy's derivatives in s and y.
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman.jets import jet1_variable
 from bergman.kernels import _axis2_coefficients, _hartogs_fpp, simplex_restriction_constant
 
 sp = pytest.importorskip("sympy")
@@ -28,14 +29,21 @@ def slice_formula(p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.5])
 def test_hartogs_fpp_is_the_second_derivative(p):
-    # on scalars, and on the numpy arrays slice_kp_values passes it
+    # on scalars, on the numpy arrays slice_kp_values passes it, and on the
+    # jet in y that hartogs_profile passes it, whose coefficients are the
+    # y-derivatives of F'' over k!
     f2 = sp.diff(1 / ((1 - s) ** sp.nsimplify(p) - y), s, 2)
     for s0, y0 in ((0.3 + 0.2j, -0.1 + 0.25j), (-0.45j, 0.05 - 0.3j), (-0.6 + 0.1j, 0.2j)):
-        want = complex(f2.subs({s: sp.sympify(s0), y: sp.sympify(y0)}).evalf(30))
+        at = {s: sp.sympify(s0), y: sp.sympify(y0)}
+        want = complex(f2.subs(at).evalf(30))
         got = _hartogs_fpp(p, s0, y0)
         (arr,) = _hartogs_fpp(p, np.array([s0]), np.array([y0]))
         assert abs(got - want) <= 1e-13 * abs(want)
         assert abs(arr - want) <= 1e-13 * abs(want)
+        jet = _hartogs_fpp(p, s0, jet1_variable(y0, 3))
+        for k, c in enumerate(jet.coeffs):
+            want = complex(sp.diff(f2, y, k).subs(at).evalf(30)) / math.factorial(k)
+            assert abs(c - want) <= 1e-13 * abs(want), k
 
 
 def test_slice_formula_at_p2_is_k2():

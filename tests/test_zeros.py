@@ -16,7 +16,6 @@ from bergman.kernels import (
     axis_limit_kernel,
     k2_closed_form,
     mixed_family_kernel,
-    simplex_restricted_kernel,
     slice_kernel_kp,
 )
 from bergman.oracle import SeriesConfig, series_kernel
@@ -39,6 +38,8 @@ from bergman.zeros import (
     newton_refine,
     simplex_slice,
 )
+
+from _oracles import simplex_restricted_kernel
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
