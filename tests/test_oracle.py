@@ -413,7 +413,7 @@ def assert_reproducing_pinned():
     assert res.stderr == 0.004485024761843107
     res = reproducing_check(diagonal_domain(2.0, 4.0), k24_K, {(1, 1): 1.0},
                             (0.2, 0.05), 100_000, seed=29)
-    assert res.estimate == 0.011591302236109513 + 0.0016719597147177047j
+    assert res.estimate == 0.011591302236109512 + 0.001671959714717705j
     assert res.stderr == 0.0013101492602485567
 
 
