@@ -181,8 +181,8 @@ def slice_x_coefficient(p, y, a):
 def jet_fpp(p, s, y):
     """F''(s) of F(s) = ((1-s)^p - y)^(-1) read off an order-2 jet.
 
-    A derivation independent of the library's written-out F'': the jet
-    reciprocal of (1-s)^p - y, so it never cubes the denominator either.
+    A derivation independent of the library's scaled F'': the jet
+    reciprocal of (1-s)^p - y, which never cubes the denominator either.
     """
     return derivative_extract(1.0 / (jet_rpow(1.0 - jet1_variable(s, 2), p) - y), 2)
 
