@@ -106,7 +106,7 @@ def test_eval_slice_large_p_near_the_boundary(capsys):
     assert rec["value"]["re"] == pytest.approx(want, rel=1e-12)
 
 
-def test_eval_near_an_interior_pole(capsys):
+def test_eval_near_an_interior_pole_k2(capsys):
     # phi = 0.999999: the closed-form denominators are tiny there, not zero
     mp = pytest.importorskip("mpmath")
     code, rec = run_json(capsys, ["eval", "--domain", D22, "--z", "0.5,0.499999"])
@@ -119,8 +119,12 @@ def test_eval_near_an_interior_pole(capsys):
     assert want == pytest.approx(5.0660693e16, rel=1e-7)
     assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - want) <= 1e-9 * want
 
+
+def test_eval_near_an_interior_pole_folded(capsys):
+    # the point of the k2 test with a p = 2.5 block added, at its origin;
     # the root sum of general_folded_kernel over the two p = 2 coordinates:
     # K = (p+1)(p+2)/(16 pi^3 s1 s2) sum e1 e2 (1 - e1 s1 - e2 s2)^-(p+3) at y = 0
+    mp = pytest.importorskip("mpmath")
     code, rec = run_json(capsys, [
         "eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":2.5}]}',
         "--z", "0.5,0.499999,0"])
