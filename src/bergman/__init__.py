@@ -17,7 +17,6 @@ from .domains import (
 )
 from .errors import (
     BergmanError,
-    ContourThroughZero,
     DimensionMismatch,
     InvalidOrder,
     NoConvergence,
@@ -91,7 +90,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Block", "DomainSpec", "contains", "diagonal_domain",
     "parse_domain_spec", "phi", "volume",
-    "BergmanError", "ContourThroughZero", "DimensionMismatch", "InvalidOrder",
+    "BergmanError", "DimensionMismatch", "InvalidOrder",
     "NoConvergence", "NonIntegerFold", "OutsideDomain", "PoleHit",
     "PreconditionViolated", "SchemaError", "UnsupportedDomain",
     "Jet1", "Jet2", "derivative_extract", "jet1_const", "jet1_variable",

@@ -53,10 +53,6 @@ class PoleHit(BergmanError):
     """Closed-form denominator vanished at the requested point."""
 
 
-class ContourThroughZero(BergmanError):
-    """Winding contour could not be moved off a zero after repeated perturbation."""
-
-
 class NoConvergence(BergmanError):
     """An iteration (series, Newton, winding sum) failed to reach its tolerance."""
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import ContourThroughZero, NoConvergence, PreconditionViolated
+from .errors import NoConvergence, PreconditionViolated
 from .jets import Jet1, jet1_variable
 from .kernels import (
     _axis2_coefficients,
@@ -25,9 +25,10 @@ from .kernels import (
 
 DEFAULT_SCAN_MARGIN = 0.12
 
-# |f| below this on a proposed contour forces a radius perturbation
-_CONTOUR_EPS = 1e-6
 _BLOCK = 2048  # contour points per array-jet evaluation in the winding count
+_MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
+# largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
+_MAX_ODD_M = 4000.0
 
 
 @dataclass(frozen=True)
@@ -148,56 +149,54 @@ def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> comple
 def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     """Argument-principle zero count inside |t| = radius.
 
-    Uniform (trapezoid) sums of f'/f * t / M over the circle, doubling M until
-    the result sits within 1e-3 of an integer and is stable; the contour is
-    nudged inward when |f| comes too close to zero on it (a scalar check).
-    Each sum calls f on one order-1 array jet per _BLOCK contour points, under
-    np.errstate(all="ignore"): an overflow reaches the non-finite check silently.
+    Uniform (trapezoid) sums of f'/f * t / M over the circle, doubling M from
+    512 to _MAX_SAMPLES until two successive sums round to the same integer,
+    the later within 1e-3 of it.  Off the zeros and poles of f the sum
+    converges geometrically in M (Trefethen & Weideman, SIAM Rev. 2014); a
+    zero on the circle ends in NoConvergence instead of a wrong integer, as a
+    non-finite sum where a sample hits it and as a sum that never settles
+    otherwise (one simple zero a gives exactly 1/(1 - (a/r)^M), whose real
+    part is 1/2 when |a| = r).  Each sum calls f on one order-1 array jet per
+    _BLOCK contour points, under np.errstate(all="ignore"): an overflow
+    reaches the non-finite check silently.
     """
     import numpy as np
 
     if not (0.0 < radius < 1.0):
         raise PreconditionViolated(f"radius must lie in (0,1), got {radius}")
-    r = radius
-    for attempt in range(6):
-        low = min(abs(f.eval(r * cmath.exp(2j * math.pi * k / 512)))
-                  for k in range(512))
-        if low >= _CONTOUR_EPS:
-            break
-        r = radius * (1.0 - 1e-3 * (attempt + 1))
-    else:
-        raise ContourThroughZero(
-            f"|f| < {_CONTOUR_EPS} near every perturbed contour around {radius}")
-
     prev = None
     m = 512
-    while m <= (1 << 17):
+    while m <= _MAX_SAMPLES:
         acc = 0j
         with np.errstate(all="ignore"):
             for k in range(0, m, _BLOCK):
-                t = r * np.exp(2j * math.pi * np.arange(k, min(m, k + _BLOCK)) / m)
+                t = radius * np.exp(2j * math.pi * np.arange(k, min(m, k + _BLOCK)) / m)
                 jet = f.eval(Jet1(t, (t, np.ones_like(t))))
                 acc += complex((jet.coeffs[1] / jet.coeffs[0] * t).sum())
         w = acc / m
         if not cmath.isfinite(w):
-            raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {r}")
+            raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {radius}")
         nearest = round(w.real)
         if abs(w - nearest) < 1e-3 and prev == nearest:
             return int(nearest)
         prev = nearest
         m *= 2
-    raise NoConvergence("winding sum did not settle to an integer")
+    raise NoConvergence(f"winding sum did not settle to an integer on |t| = {radius}")
 
 
-def _zero_report(slc: SliceFunction, locs: Iterable[complex], radius: float,
-                 method: str, min_modulus: float | None) -> ZeroReport:
+def _zero_report(slc: SliceFunction, locs: Iterable[complex], method: str,
+                 min_modulus: float | None) -> ZeroReport:
     """The zeros at locs, sorted, each with its residual |f|, against the
-    argument-principle count on |t| = 0.999."""
-    # counted first: a slice that overflows on the contour never starts locs
-    count = count_zeros_winding(slc, 0.999)
+    argument-principle count on |t| = r, which the report keeps as its radius.
+
+    r = (1 + max |zero|)/2, or 0.999 when locs is empty: halfway between the
+    outermost zero and |t| = 1, where the slices' poles lie, so the count's
+    trapezoid sum converges geometrically on both sides of the circle.
+    """
     zeros = tuple(sorted((Zero(q, abs(slc.eval(q))) for q in locs),
                          key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(zeros=zeros, count_by_winding=count,
+    radius = (1.0 + max(abs(z.location) for z in zeros)) / 2.0 if zeros else 0.999
+    return ZeroReport(zeros=zeros, count_by_winding=count_zeros_winding(slc, radius),
                       search_radius=radius, method=method, min_modulus=min_modulus)
 
 
@@ -206,14 +205,17 @@ def odd_quotient_zero_locus(m: float, scale: float) -> ZeroReport:
 
     They solve ((1 - t)/(1 + t))^m = 1 with 1 +- t in the right half-plane,
     so they are exactly t = +-i tan(pi k/m) for 1 <= k < m/4: nonempty iff
-    m > 4.
+    m > 4.  Refuses m > _MAX_ODD_M, which would list 2,000 zeros or more.
     """
     if not m > 0.0:
         raise PreconditionViolated(f"exponent m must be positive, got {m}")
+    if m > _MAX_ODD_M:
+        raise PreconditionViolated(
+            f"exponent m = {m:g} exceeds {_MAX_ODD_M:g}: too many zeros to list")
     tans = (math.tan(math.pi * k / m) for k in range(1, math.ceil(m / 4.0)))
     locs = (z for s in tans for z in (1j * s, -1j * s))
     return _zero_report(_odd_quotient_slice(m, scale, f"odd quotient, m = {m}"),
-                        locs, 0.999, "closed_form", None)
+                        locs, "closed_form", None)
 
 
 def axis1_zero_locus(p: float) -> ZeroReport:
@@ -238,7 +240,7 @@ def axis2_zero_locus(p: float) -> ZeroReport:
         disc = cmath.sqrt(b * b - 4.0 * a * c)
         locs.extend([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
     locs = [y for y in locs if abs(y) < 1.0]
-    return _zero_report(axis2_slice(p), locs, 0.999, "closed_form", None)
+    return _zero_report(axis2_slice(p), locs, "closed_form", None)
 
 
 def k2_interior_positivity(x: complex, y: complex) -> bool:
@@ -288,7 +290,7 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
                 continue
             if abs(root) <= 0.999 and all(abs(root - q) > 1e-8 for q in roots):
                 roots.append(root)
-    return _zero_report(slc, roots, rmax, "newton", min_mod)
+    return _zero_report(slc, roots, "newton", min_mod)
 
 
 def _is_local_min(mods: list[list[float]], i: int, j: int) -> bool:

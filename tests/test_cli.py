@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from bergman import cli, errors
 from bergman.cli import _FAMILIES, _build_parser, main
+from bergman.zeros import odd_quotient_zero_locus
 
 SQ3 = 1.0 / math.sqrt(3.0)
 D22 = '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2}]}'
@@ -203,12 +205,32 @@ def test_zeros_bad_family_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_zeros_uncertifiable_tolerance_exit_4(capsys):
-    # two of the 16 zeros at p = 30.02 lie beyond the winding contour, so the
-    # count (14) disagrees with the zeros printed
+def test_zeros_axis1_p30_02_counts_on_its_zeros_circle(capsys):
+    # two of the 16 zeros lie beyond |t| = 0.999; the count runs halfway
+    # between the outermost zero and the boundary, and prints that radius
     code, rec = run_json(capsys, ["zeros", "--family", "axis1", "--p", "30.02"])
+    assert code == 0
+    assert (len(rec["zeros"]), rec["winding_count"]) == (16, 16)
+    assert max(abs(z["im"]) for z in rec["zeros"]) == 0.99901934650263313
+    assert rec["radius"] == (1.0 + 0.99901934650263313) / 2.0
+
+
+def test_zeros_simplex_n40_certifies(capsys):
+    # the count's circle stays inside the region where the n = 40 slice is finite
+    code, rec = run_json(capsys, ["zeros", "--family", "simplex", "--n", "40"])
+    assert code == 0
+    assert (len(rec["zeros"]), rec["winding_count"]) == (38, 38)
+
+
+def test_zeros_count_mismatch_exit_4(monkeypatch, capsys):
+    # a report whose winding count disagrees with its zeros is printed, exit 4
+    def miscounted(m, scale):
+        return dataclasses.replace(odd_quotient_zero_locus(m, scale), count_by_winding=0)
+
+    monkeypatch.setattr(cli, "odd_quotient_zero_locus", miscounted)
+    code, rec = run_json(capsys, ["zeros", "--family", "axis1", "--p", "4"])
     assert code == 4
-    assert (len(rec["zeros"]), rec["winding_count"]) == (16, 14)
+    assert (len(rec["zeros"]), rec["winding_count"]) == (2, 0)
 
 
 @pytest.mark.parametrize("family,n,m", [
@@ -480,8 +502,12 @@ BAD_INPUTS = [
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),
-    ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2),
-    ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "40"], 2),
+    # more than 4,000 for m = p + 2 is refused before any zero is listed
+    ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2,
+     "error: exponent m = 1e+300 exceeds 4000"),
+    # the n = 60 slice overflows on its count's circle
+    ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "60"], 2,
+     "error: winding sum is not finite"),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
     ("zeros-k2-res-cap", ["zeros", "--family", "k2", "--res", "100000"], 2),
     ("locus-k2-res-cap", ["locus", "--family", "k2", "--res", "100000000"], 2),

@@ -6,11 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bergman.errors import (
-    ContourThroughZero,
-    NoConvergence,
-    PreconditionViolated,
-)
+from bergman import zeros as zeros_module
+from bergman.errors import NoConvergence, PreconditionViolated
 from bergman.jets import Jet1, jet1_variable, jet_rpow
 from bergman.kernels import (
     axis_limit_kernel,
@@ -21,6 +18,7 @@ from bergman.kernels import (
 from bergman.oracle import SeriesConfig, series_kernel
 from bergman.domains import diagonal_domain
 from bergman.zeros import (
+    ODD_QUOTIENTS,
     SliceFunction,
     TwoVarSlice,
     Zero,
@@ -36,6 +34,7 @@ from bergman.zeros import (
     k2_pair_slice,
     mixed_slice,
     newton_refine,
+    odd_quotient_zero_locus,
     simplex_slice,
 )
 
@@ -248,11 +247,21 @@ def test_slice_on_array_jet_matches_scalar_jets(make, r):
         assert abs(got.coeffs[1][k] - der) <= 1e-12 * abs(der)
 
 
-def test_winding_contour_through_zero():
-    # uniformly tiny modulus defeats every radius perturbation
+def test_winding_tiny_constant_counts_zero():
+    # no absolute floor on |f|: a small zero-free function counts 0
     f = SliceFunction(eval=lambda t: 1e-9 + 0.0 * t, description="tiny")
-    with pytest.raises(ContourThroughZero):
-        count_zeros_winding(f, 0.5)
+    assert count_zeros_winding(f, 0.5) == 0
+
+
+def test_winding_contour_through_zero():
+    # a zero on a sample point makes the sum non-finite; a zero between
+    # samples leaves the sum's real part at 1/2 for every M
+    on_sample = SliceFunction(eval=lambda t: t - 0.5, description="t - 1/2")
+    with pytest.raises(NoConvergence, match="not finite"):
+        count_zeros_winding(on_sample, 0.5)
+    between = SliceFunction(eval=lambda t: t - 0.5 * cmath.exp(1j), description="off-grid")
+    with pytest.raises(NoConvergence, match="did not settle"):
+        count_zeros_winding(between, 0.5)
 
 
 # --------------------------------------------------------------- axis1 loci
@@ -314,6 +323,23 @@ def test_axis1_locus_rejects_nonpositive_exponent():
         axis1_zero_locus(0.0)
 
 
+def test_odd_quotient_locus_caps_the_listed_zeros():
+    # m = 4000 lists 1,998 zeros; above it the locus refuses before listing
+    with pytest.raises(PreconditionViolated, match="exceeds 4000"):
+        odd_quotient_zero_locus(4000.5, 1.0)
+    with pytest.raises(PreconditionViolated, match="exceeds 4000"):
+        axis1_zero_locus(1e300)
+
+
+@pytest.mark.parametrize("p", [30.02, 34.0, 34.1, 37.7, 38.0, 39.0])
+def test_axis1_locus_certifies_zeros_near_the_boundary(p):
+    # p = 30.02 has two zeros beyond |t| = 0.999; at p = 34, 37.7, ... |f| on
+    # |t| = 0.999 comes within 1e-6 of 0 beside the zeros +-i on |t| = 1
+    rep = axis1_zero_locus(p)
+    assert len(rep.zeros) == _odd_quotient_count(p + 2.0)
+    assert rep.count_by_winding == len(rep.zeros)
+
+
 # --------------------------------------------------------------- axis2 loci
 
 
@@ -339,6 +365,16 @@ def test_axis2_locus_p4():
     assert rep.zeros[0].location == pytest.approx(
         -5.0 + 2.0 * math.sqrt(5.0), abs=1e-12)
     assert rep.count_by_winding == 1
+
+
+@pytest.mark.parametrize("p", [2.00001, 2.0001, 2.0001711976110625, 2.001,
+                               2.0011932708854943, 2.0015, 2.01])
+def test_axis2_locus_certifies_just_above_p2(p):
+    # the zero tends to y = -1 as p -> 2+, beyond |y| = 0.999 below p = 2.0016
+    rep = axis2_zero_locus(p)
+    assert len(rep.zeros) == 1
+    assert rep.count_by_winding == 1
+    assert abs(rep.zeros[0].location) < rep.search_radius < 1.0
 
 
 def test_axis2_zeros_real_negative_through_p12():
@@ -435,6 +471,47 @@ def test_zero_freeness_certified_two_ways():
     rep = grid_zero_scan(mixed_slice(3), 32)
     assert rep.zeros == ()
     assert rep.min_modulus > 0.0
+
+
+@pytest.mark.parametrize("slc,rep", [
+    (axis1_slice(7.5), lambda: axis1_zero_locus(7.5)),
+    (axis2_slice(5.0), lambda: axis2_zero_locus(5.0)),
+    (mixed_slice(6), lambda: odd_quotient_zero_locus(*(f(6) for f in ODD_QUOTIENTS["mixed"]))),
+], ids=["axis1-7.5", "axis2-5", "mixed-6"])
+def test_each_zero_is_isolated_and_simple(slc, rep):
+    # winding number 1 on a small circle around each reported zero, radius
+    # half the distance to the nearest other zero or to |t| = 1
+    locs = [z.location for z in rep().zeros]
+    assert locs
+    for z0 in locs:
+        delta = 0.5 * min([1.0 - abs(z0)] + [abs(z0 - q) for q in locs if q != z0])
+        near = SliceFunction(eval=lambda u, z0=z0, d=delta: slc.eval(z0 + d * u),
+                             description=f"around {z0}")
+        assert count_zeros_winding(near, 0.5) == 1, z0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: axis1_zero_locus(4.0),
+    lambda: axis1_zero_locus(30.02),
+    lambda: axis2_zero_locus(3.0),
+    lambda: axis2_zero_locus(1.0),
+    lambda: odd_quotient_zero_locus(21.0, 1.0),
+    lambda: grid_zero_scan(axis1_slice(4.0), 50),
+    lambda: grid_zero_scan(mixed_slice(3), 24),
+], ids=["axis1-4", "axis1-30.02", "axis2-3", "axis2-1", "odd-21", "scan-axis1-4",
+        "scan-mixed-3"])
+def test_report_radius_is_the_counted_circle(make, monkeypatch):
+    radii = []
+
+    def count(f, radius):
+        radii.append(radius)
+        return count_zeros_winding(f, radius)
+
+    monkeypatch.setattr(zeros_module, "count_zeros_winding", count)
+    rep = make()
+    assert radii == [rep.search_radius]
+    far = max((abs(z.location) for z in rep.zeros), default=None)
+    assert rep.search_radius == (0.999 if far is None else (1.0 + far) / 2.0)
 
 
 # ------------------------------------------------------------ serialization
