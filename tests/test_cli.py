@@ -497,7 +497,7 @@ BAD_INPUTS = [
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),
-    # more than 4,000 for m = p + 2 is refused before any zero is listed
+    # m = p + 2 above 4,000 is refused before any zero is listed
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2,
      "error: exponent m = 1e+300 exceeds 4000"),
     # the n = 60 slice overflows on its count's circle
