@@ -11,6 +11,7 @@ is extracted from a jet; nothing here differentiates numerically.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -179,7 +180,7 @@ def inflate(L: CircularKernelProfile, m: int):
 def ball_kernel(m: int, Z: Sequence[complex], W: Sequence[complex]) -> KernelValue:
     """Unit-ball kernel in C^m: m!/pi^m (1 - <Z,W>)^-(m+1), via inflating the disc."""
     for pt in (Z, W):
-        if sum(abs(c) ** 2 for c in pt) >= 1.0:
+        if not sum(abs(c) ** 2 for c in pt) < 1.0:
             raise OutsideDomain("point outside the unit ball")
     inner = inflate(disc_profile(), m)((), Z, (), W)
     return KernelValue(inner.value, "ball")
@@ -289,79 +290,47 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     direct = [k for k in range(n) if p_list[k] == 1 or abs(v[k]) >= EPS_SWITCH]
     series = [k for k in range(n) if k not in direct]
 
-    # p_k-th roots of the direct pairings, shifted by the requested branch
-    s = {}
+    # per direct coordinate: its p_k-th root s of the pairing, shifted by the
+    # requested branch, and the pairs (s conj(omega)^j, conj(omega)^j)
+    prefactor = 1.0 / (p * math.pi ** (n + 1))
+    roots = []
     for k in direct:
         pk = p_list[k]
         if pk == 1:
-            s[k] = v[k]
+            sk = v[k]
         else:
-            r = abs(v[k]) ** (1.0 / pk)
             ang = (cmath.phase(v[k]) + 2.0 * math.pi * offsets[k]) / pk
-            s[k] = r * cmath.exp(1j * ang)
-
-    series_imax = 10
-    extra = sum((series_imax + 1) * p_list[k] - 1 for k in series)
-    order = n + 1 + extra
-
-    prefactor = 1.0 / (p * math.pi ** (n + 1))
-    for k in direct:
-        pk = p_list[k]
-        prefactor = prefactor / (pk * pk * s[k] ** (pk - 1))
+            sk = abs(v[k]) ** (1.0 / pk) * cmath.exp(1j * ang)
+        prefactor = prefactor / (pk * pk * sk ** (pk - 1))
+        oms = [cmath.exp(-2j * math.pi * j / pk) for j in range(1, pk + 1)]
+        roots.append([(sk * om, om) for om in oms])
     for k in series:
         prefactor = prefactor / p_list[k]
 
-    # enumerate root-of-unity combinations over the direct coordinates
-    combos = [()]
-    for k in direct:
-        combos = [c + (j,) for c in combos for j in range(1, p_list[k] + 1)]
+    # Taylor filter: series coordinate k contributes v_k^i / b! times g^(b),
+    # b = (i+1) p_k - 1, i <= series_imax (i = 0 at a zero pairing); one fixed
+    # order of terms, the first coordinate fastest, factors in coordinate order
+    series_imax = 10
+    filt = [[(b, v[k] ** i / math.factorial(b)) for i, b in enumerate(range(
+        p_list[k] - 1, (series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
+        for k in reversed(series)]
+    terms = [(n + 1 + sum(b for b, _ in idx), [f for _, f in reversed(idx)])
+             for idx in itertools.product(*filt)]
+    order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
 
     total = 0j
-    for combo in combos:
-        tau = 0j
-        weight = 1.0 + 0j
-        for k, j in zip(direct, combo):
-            om_bar = cmath.exp(-2j * math.pi * j / p_list[k])
-            tau += s[k] * om_bar
+    for combo in itertools.product(*roots):
+        tau, weight = 0j, 1.0 + 0j
+        for term, om_bar in combo:
+            tau += term
             weight *= om_bar
         g = 1.0 / (jet_rpow(1.0 - jet1_variable(tau, order), p) - y)
-        contrib = _series_filtered_sum(g, n + 1, [p_list[k] for k in series],
-                                       [v[k] for k in series], series_imax)
+        contrib = 0j
+        for deg, factors in terms:
+            contrib += math.prod(factors, start=derivative_extract(g, deg))
         total += weight * contrib
     return KernelValue(prefactor * total, "folded",
                        near_singular_limit=bool(series))
-
-
-def _series_filtered_sum(g: Jet1, base_order: int, ps: list[int],
-                         vs: list[complex], imax: int) -> complex:
-    """sum over filtered Taylor terms of the series-folded coordinates.
-
-    Each series coordinate k contributes factors v_k^i times the mixed
-    coefficient g^(base_order + sum beta)(tau)/prod beta!, beta = (i+1)p - 1.
-    """
-    if not ps:
-        return derivative_extract(g, base_order)
-    acc = 0j
-    idx = [0] * len(ps)
-    while True:
-        deg = base_order + sum((idx[k] + 1) * ps[k] - 1 for k in range(len(ps)))
-        coef = derivative_extract(g, deg)
-        term = coef
-        for k in range(len(ps)):
-            beta = (idx[k] + 1) * ps[k] - 1
-            term *= vs[k] ** idx[k] / math.factorial(beta)
-        acc += term
-        # odometer over the multi-index, dropping branches that cannot matter
-        pos = 0
-        while pos < len(ps):
-            idx[pos] += 1
-            if idx[pos] <= imax and vs[pos] != 0:
-                break
-            idx[pos] = 0
-            pos += 1
-        else:
-            break
-    return acc
 
 
 def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
@@ -371,12 +340,12 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
 
         (1/(4 p pi^2 xi)) [F''(xi) - F''(-xi)],   F(s) = ((1-s)^p - y)^(-1)
 
-    For |xi| < EPS_SWITCH the bracket is expanded as an odd jet and divided by
-    xi coefficientwise, which is exact at x = 0.  An interior D = (1-s)^p - y
+    For |xi| < EPS_SWITCH it is the _odd_limit of F'', read off an order-7
+    jet of F, which is exact at x = 0.  An interior D = (1-s)^p - y
     reads 0 only where (1-xi)^p underflows, and K overflows there: that
     raises OverflowError.
     """
-    if math.sqrt(abs(x)) + abs(y) ** (1.0 / p) >= 1.0:
+    if not math.sqrt(abs(x)) + abs(y) ** (1.0 / p) < 1.0:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable from inside")
     xi = cmath.sqrt(x)
     if abs(xi) >= EPS_SWITCH:
@@ -385,11 +354,9 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
         except ZeroDivisionError:
             raise OverflowError(
                 f"(1 - xi)^p underflows to 0 at p = {p}, xi = {xi}") from None
-    f = 1.0 / (jet_rpow(1.0 - jet1_variable(0j, 7), p) - y)
-    c = f.coeffs
-    # (1/xi) [F''(xi) - F''(-xi)] = 12 c3 + 40 c5 xi^2 + 84 c7 xi^4 + ...
-    val = (12.0 * c[3] + 40.0 * c[5] * xi ** 2 + 84.0 * c[7] * xi ** 4)
-    return KernelValue(val / (4.0 * p * math.pi ** 2), "slice_kp",
+    c = (1.0 / (jet_rpow(1.0 - jet1_variable(0j, 7), p) - y)).coeffs
+    fpp = [(k + 1) * (k + 2) * c[k + 2] for k in range(6)]
+    return KernelValue(_odd_limit(fpp, xi) / (p * math.pi ** 2), "slice_kp",
                        near_singular_limit=True)
 
 
@@ -418,7 +385,7 @@ def k2_closed_form(x: complex, y: complex) -> KernelValue:
     K2 = (2/pi^2) [3(1-x-y)(1-(x-y)^2) + 8xy] / ((1-x-y)^2 - 4xy)^3.
     The boundary is allowed so the boundary zero at (-1, 0) is representable.
     """
-    if math.sqrt(abs(x)) + math.sqrt(abs(y)) > 1.0 + 1e-12:
+    if not math.sqrt(abs(x)) + math.sqrt(abs(y)) <= 1.0 + 1e-12:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable")
     num, delta = _k2_terms(x, y)
     if delta == 0:
@@ -459,28 +426,34 @@ def mixed_family_kernel(n: int, z: Sequence[complex],
     if n < 2:
         raise InvalidOrder(f"dimension must be >= 2, got {n}")
     for ptt in (z, w):
-        if sum(abs(c) ** 2 for c in ptt) >= 1.0:
+        if not sum(abs(c) ** 2 for c in ptt) < 1.0:
             raise OutsideDomain("point outside the unit ball in root coordinates")
     v = z[0] * w[0].conjugate()
     tp = sum(a * b.conjugate() for a, b in zip(z[1:], w[1:]))
-    val = _odd_quotient(1.0 - tp, n + 1.0, math.factorial(n) / math.pi ** n, v)
+    val = _odd_quotient(1.0 - tp, n + 1.0, _mixed_scale(n), v)
     return KernelValue(val, "mixed_family", abs(v) < EPS_SWITCH)
 
 
-def _odd_quotient(a, m: float, scale: float, t):
-    """scale * [(a - t)^-m - (a + t)^-m] / (4t), on scalars and jets.
+def _mixed_scale(n: int) -> float:
+    """n!/pi^n; pi^n first, so n >= 621 overflows before n! is built."""
+    pi_n = math.pi ** n
+    return math.factorial(n) / pi_n
 
-    The bracket is odd in t, so the quotient extends across t = 0: for
-    |t| < EPS_SWITCH the odd jet of (a - t)^-m is divided by t
-    coefficientwise, as slice_kernel_kp does.
-    """
-    if isinstance(t, Jet1):
-        return scale * (jet_rpow(a - t, -m) - jet_rpow(a + t, -m)) / (4.0 * t)
-    if abs(t) >= EPS_SWITCH:
+
+def _odd_quotient(a, m: float, scale: float, t):
+    """scale * [(a - t)^-m - (a + t)^-m] / (4t) on scalars and jets; odd in t,
+    so for |t| < EPS_SWITCH it is scale times the _odd_limit of (a - t)^-m."""
+    if isinstance(t, Jet1) or abs(t) >= EPS_SWITCH:
         return scale * ((a - t) ** -m - (a + t) ** -m) / (4.0 * t)
-    c = jet_rpow(a - jet1_variable(0j, 5), -m).coeffs
-    # [(a - t)^-m - (a + t)^-m] / (4t) = (c1 + c3 t^2 + c5 t^4) / 2
-    return scale * 0.5 * (c[1] + c[3] * t ** 2 + c[5] * t ** 4)
+    return scale * _odd_limit(jet_rpow(a - jet1_variable(0j, 5), -m).coeffs, t)
+
+
+def _odd_limit(c, t):
+    """[g(t) - g(-t)] / (4t) = (c1 + c3 t^2 + c5 t^4)/2 + O(t^6), c the Taylor
+    coefficients of g at 0: the small-argument rule of both p = 2 folds.  The
+    slice's F'' factors 6, 20, 42 over p pi^2 are (12, 40, 84)/2 over 4 p pi^2,
+    and scaling by 2 is exact in binary, so the slice limit keeps its bits."""
+    return 0.5 * (c[1] + c[3] * t ** 2 + c[5] * t ** 4)
 
 
 def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> KernelValue:

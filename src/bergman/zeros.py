@@ -17,6 +17,7 @@ from .jets import Jet1, jet1_variable
 from .kernels import (
     _axis2_coefficients,
     _k2_terms,
+    _mixed_scale,
     _odd_quotient,
     axis_limit_kernel,
     k2_values,
@@ -84,7 +85,7 @@ ODD_QUOTIENTS = {
     "axis1": (lambda p: p + 2.0, lambda p: (p + 1.0) / math.pi ** 2),
     "simplex": (lambda n: 2.0 * n, lambda n: simplex_restriction_constant(n)
                 * (2.0 * n - 1.0) / math.pi ** 2),
-    "mixed": (lambda n: n + 1.0, lambda n: math.factorial(n) / math.pi ** n),
+    "mixed": (lambda n: n + 1.0, _mixed_scale),
 }
 
 
@@ -312,16 +313,17 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
     ang = 2.0 * math.pi * np.arange(resolution) / resolution
     phase = np.exp(1j * ang)
     y_flat = (side[:, None] * phase[None, :]).ravel()
+    root_y = np.sqrt(np.abs(y_flat))
     min_mod = math.inf
     candidates: list[tuple[complex, complex]] = []
-    # sweep the first pairing one radius at a time to keep the slabs small
+    # one radius of the first pairing at a time: which ys are admissible
+    # depends on |x0| = rx alone, and eval_many broadcasts each scalar x0
     for rx in side:
+        ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
+        if ys.size == 0:
+            continue
         for x0 in rx * phase:
-            keep = math.sqrt(abs(x0)) + np.sqrt(np.abs(y_flat)) < 1.0 - 1e-9
-            if not keep.any():
-                continue
-            ys = y_flat[keep]
-            vals = np.abs(slc.eval_many(np.full(ys.shape, x0), ys))
+            vals = np.abs(slc.eval_many(x0, ys))
             lo = float(vals.min())
             if lo < min_mod:
                 min_mod = lo

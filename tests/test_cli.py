@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -416,13 +417,29 @@ def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys, monkeypatch, suite
     assert path.read_bytes() == out.encode()
 
 
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("BERGMAN_SEED", "7")
-    args = _build_parser().parse_args(["verify"])
-    assert args.seed == 7
-    monkeypatch.delenv("BERGMAN_SEED")
-    args = _build_parser().parse_args(["verify"])
-    assert args.seed == 42
+def test_seed_default_ignores_the_environment(monkeypatch, capsys):
+    monkeypatch.delenv("BERGMAN_SEED", raising=False)
+    assert _build_parser().parse_args(["verify"]).seed == 42
+    # no environment variable is read, so a malformed one cannot break a run
+    for bad in ("abc", "1e400"):
+        monkeypatch.setenv("BERGMAN_SEED", bad)
+        assert _build_parser().parse_args(["verify"]).seed == 42
+        code, rec = run_json(capsys, [
+            "eval", "--domain", '{"blocks":[{"dim":1,"p":2}]}', "--z", "0.1"])
+        assert code == 0
+        assert rec["formula"] == "ball"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--family", "mixed", "--n", "1000000"],
+    ["locus", "--family", "mixed", "--n", "1000000", "--res", "4"],
+])
+def test_huge_mixed_n_is_refused_at_once(capsys, argv):
+    # pi^n overflows for n >= 621 before n! (seconds at n = 10^6) is built
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("error: floating-point overflow")
 
 
 def test_console_invocation_round_trip():

@@ -489,6 +489,21 @@ def test_mixed_family_rejects_outside_ball():
         mixed_family_kernel(3, (0.8, 0.7, 0.0), (0j, 0j, 0j))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ball_kernel(2, (NAN, 0.0), (0.1, 0.0)),
+    lambda: mixed_family_kernel(3, (0.1, NAN, 0.0), (0.1, 0.0, 0.0)),
+    lambda: k2_closed_form(complex(NAN, 0.0), 0.1),
+    lambda: slice_kernel_kp(3.0, 0.1, complex(0.0, NAN)),
+    lambda: slice_kernel_kp(3.0, NAN, 0.1),
+], ids=["ball", "mixed", "k2", "slice_kp-y", "slice_kp-x"])
+def test_closed_forms_refuse_nan(call):
+    with pytest.raises(OutsideDomain):
+        call()
+
+
 # -------------------------------------------------------------- vectorized
 
 
