@@ -40,6 +40,7 @@ from .kernels import (
 from .oracle import SeriesConfig, reproducing_check, series_kernel
 from .zeros import (
     DEFAULT_SCAN_MARGIN,
+    MAX_RESOLUTION,
     ODD_QUOTIENTS,
     axis1_slice,
     axis2_slice,
@@ -60,9 +61,6 @@ EXIT_VERIFY = 5
 _LOCUS_SPAN = 0.95
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
-# largest --res of locus and zeros: the k2 zero scan makes ~res^4 evaluations
-# (10 s at 192 on a 2-CPU Xeon VM), a locus prints <= 4 res^2 rows (7 MB at 256)
-_MAX_RES = 256
 
 
 class _Usage(Exception):
@@ -195,8 +193,8 @@ def _family(fam: str, args):
     """Table entry of fam and its --p or --n value, that value and --res checked."""
     if fam not in _FAMILIES:
         raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
-    if not 1 <= args.res <= _MAX_RES:
-        raise _Usage(f"--res must lie in 1..{_MAX_RES}, got {args.res}")
+    if not 1 <= args.res <= MAX_RESOLUTION:
+        raise _Usage(f"--res must lie in 1..{MAX_RESOLUTION}, got {args.res}")
     entry = _FAMILIES[fam]
     if entry[0] is None:
         return entry + (None,)
@@ -528,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 1..{_MAX_RES}")
+    p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 1..{MAX_RESOLUTION}")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="root tolerance of the k2 grid scan, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")
@@ -537,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=64, help=f"points per axis, 1..{_MAX_RES}")
+    p.add_argument("--res", type=int, default=64, help=f"points per axis, 1..{MAX_RESOLUTION}")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("verify", help="run the built-in identity suites")

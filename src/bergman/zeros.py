@@ -26,10 +26,11 @@ from .kernels import (
 
 DEFAULT_SCAN_MARGIN = 0.12
 
-_BLOCK = 2048  # contour points per array-jet evaluation in the winding count
+_BLOCK = 2048  # points per array evaluation in the winding count and the k2 scan
 _MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
+MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points, ~res^4 k2 points
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """Two-variable slice with a vectorized evaluator over pairing arrays."""
+    """Two-variable slice with a vectorized evaluator over pairing arrays;
+    eval_many must broadcast a column of x against a row of y."""
 
     eval_many: Callable
     description: str
@@ -265,44 +267,40 @@ def k2_interior_positivity(x: complex, y: complex) -> bool:
 def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     """Polar-grid modulus scan with Newton refinement of local minima.
 
-    For a SliceFunction: scans |t| <= 1 - DEFAULT_SCAN_MARGIN, refines every
-    strict local minimum of |f|, and keeps roots certified by |f| < tol.  For a
-    TwoVarSlice: scans admissible pairing pairs and reports the grid minimum;
-    candidate cells refine through the slice's x-restriction when provided.
+    For a SliceFunction: takes |f| on the polar grid of |t| <= 1 -
+    DEFAULT_SCAN_MARGIN from one order-1 array jet, refines every cell below
+    tol or no larger than its radial and angular neighbours (non-strict, so
+    both of two mirrored cells that tie up to rounding seed), and keeps roots
+    certified by |f| < tol.  For a TwoVarSlice: scans admissible pairing
+    pairs and reports the grid minimum; candidate cells refine through the
+    slice's x-restriction when provided.
     """
-    if resolution < 8:
-        raise PreconditionViolated(f"resolution must be >= 8, got {resolution}")
+    import numpy as np
+
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise PreconditionViolated(
+            f"resolution must lie in 8..{MAX_RESOLUTION}, got {resolution}")
     if isinstance(slc, TwoVarSlice):
         return _grid_scan_two_var(slc, resolution, tol)
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
     rs = [rmax * (i + 1) / resolution for i in range(resolution)]
     thetas = [2.0 * math.pi * j / resolution for j in range(resolution)]
-    mods = [[abs(slc.eval(r * cmath.exp(1j * th))) for th in thetas] for r in rs]
-    min_mod = min(min(row) for row in mods)
+    t = np.outer(rs, np.exp(1j * np.array(thetas)))
+    mods = np.abs(slc.eval(Jet1(t, (t, np.ones_like(t)))).coeffs[0])
+    seed = (mods <= np.roll(mods, 1, axis=1)) & (mods <= np.roll(mods, -1, axis=1))
+    seed[1:] &= mods[1:] <= mods[:-1]
+    seed[:-1] &= mods[:-1] <= mods[1:]
+    seed |= mods < tol
 
     roots: list[complex] = []
-    for i, r in enumerate(rs):
-        for j, th in enumerate(thetas):
-            if not _is_local_min(mods, i, j) and mods[i][j] >= tol:
-                continue
-            try:
-                root = newton_refine(slc, r * cmath.exp(1j * th), tol=tol)
-            except NoConvergence:
-                continue
-            if abs(root) <= 0.999 and all(abs(root - q) > 1e-8 for q in roots):
-                roots.append(root)
-    return _zero_report(slc, roots, "newton", min_mod)
-
-
-def _is_local_min(mods: list[list[float]], i: int, j: int) -> bool:
-    res_r, res_t = len(mods), len(mods[0])
-    here = mods[i][j]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ii = i + di
-        jj = (j + dj) % res_t
-        if 0 <= ii < res_r and mods[ii][jj] <= here:
-            return False
-    return True
+    for i, j in zip(*np.nonzero(seed)):
+        try:
+            root = newton_refine(slc, rs[i] * cmath.exp(1j * thetas[j]), tol=tol)
+        except NoConvergence:
+            continue
+        if abs(root) <= 0.999 and all(abs(root - q) > 1e-8 for q in roots):
+            roots.append(root)
+    return _zero_report(slc, roots, "newton", float(mods.min()))
 
 
 def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroReport:
@@ -317,19 +315,23 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
     min_mod = math.inf
     candidates: list[tuple[complex, complex]] = []
     # one radius of the first pairing at a time: which ys are admissible
-    # depends on |x0| = rx alone, and eval_many broadcasts each scalar x0
+    # depends on |x0| = rx alone.  eval_many takes a column of first pairings
+    # against the row of those ys, as many as fit in _BLOCK points per call;
+    # candidates come one x0 at a time, at most 8 per x0
     for rx in side:
         ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
         if ys.size == 0:
             continue
-        for x0 in rx * phase:
-            vals = np.abs(slc.eval_many(x0, ys))
+        xs = rx * phase
+        step = max(1, _BLOCK // ys.size)
+        for k in range(0, resolution, step):
+            vals = np.abs(slc.eval_many(xs[k:k + step, None], ys[None, :]))
             lo = float(vals.min())
-            if lo < min_mod:
-                min_mod = lo
-            if lo < tol and len(candidates) < 64:
-                for j in np.flatnonzero(vals < tol)[:8]:
-                    candidates.append((x0, complex(ys[j])))
+            min_mod = min(min_mod, lo)
+            for i, row in enumerate(vals < tol if lo < tol else ()):
+                if len(candidates) < 64:
+                    candidates += [(complex(xs[k + i]), complex(ys[j]))
+                                   for j in np.flatnonzero(row)[:8]]
 
     roots: list[tuple[complex, float]] = []
     if slc.restrict_x is not None:

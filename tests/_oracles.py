@@ -17,8 +17,10 @@ import cmath
 import math
 
 from bergman.domains import diagonal_domain, log_monomial_norm_sq
+from bergman.errors import NoConvergence
 from bergman.jets import derivative_extract, jet1_variable, jet_rpow
 from bergman.kernels import KernelValue, simplex_restriction_constant, slice_kernel_kp
+from bergman.zeros import DEFAULT_SCAN_MARGIN, newton_refine
 
 # central stencils with O(h^2) truncation error, keyed by derivative order
 _STENCILS = {
@@ -197,3 +199,79 @@ def simplex_restricted_kernel(n, x):
     inner = slice_kernel_kp(2.0 * n - 2.0, x, 0j)
     return KernelValue(simplex_restriction_constant(n) * inner.value,
                        "simplex_restricted", inner.near_singular_limit)
+
+
+def polar_scan_reference(slc, resolution, tol=1e-9):
+    """(roots, min_modulus) of the one-cell-at-a-time polar scan.
+
+    Scalar evaluations on the grid of grid_zero_scan, strict local minima of
+    |f| (or cells below tol) refined by Newton, roots in |t| <= 0.999 kept
+    once within 1e-8; roots sorted like a ZeroReport.
+    """
+    rmax = 1.0 - DEFAULT_SCAN_MARGIN
+    rs = [rmax * (i + 1) / resolution for i in range(resolution)]
+    thetas = [2.0 * math.pi * j / resolution for j in range(resolution)]
+    mods = [[abs(slc.eval(r * cmath.exp(1j * th))) for th in thetas] for r in rs]
+
+    def strict_min(i, j):
+        here = mods[i][j]
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ii, jj = i + di, (j + dj) % resolution
+            if 0 <= ii < resolution and mods[ii][jj] <= here:
+                return False
+        return True
+
+    roots = []
+    for i, r in enumerate(rs):
+        for j, th in enumerate(thetas):
+            if not strict_min(i, j) and mods[i][j] >= tol:
+                continue
+            try:
+                root = newton_refine(slc, r * cmath.exp(1j * th), tol=tol)
+            except NoConvergence:
+                continue
+            if abs(root) <= 0.999 and all(abs(root - q) > 1e-8 for q in roots):
+                roots.append(root)
+    roots.sort(key=lambda q: (q.real, q.imag))
+    return roots, min(min(row) for row in mods)
+
+
+def k2_scan_reference(slc, resolution, tol=1e-9):
+    """(zeros, min_modulus, candidates) of the two-variable scan, one first
+    pairing per eval_many call: zeros as sorted (location, residual) pairs,
+    candidates as the (x0, y0) cells refined, in order.
+
+    Candidates in first-pairing order, up to 8 per first pairing, added
+    while fewer than 64 are held; each refined in x through restrict_x.
+    """
+    import numpy as np
+
+    rmax = 1.0 - DEFAULT_SCAN_MARGIN
+    side = np.linspace(rmax / resolution, rmax, resolution)
+    phase = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
+    y_flat = (side[:, None] * phase[None, :]).ravel()
+    root_y = np.sqrt(np.abs(y_flat))
+    min_mod = math.inf
+    candidates = []
+    for rx in side:
+        ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
+        if ys.size == 0:
+            continue
+        for x0 in rx * phase:
+            vals = np.abs(slc.eval_many(x0, ys))
+            lo = float(vals.min())
+            min_mod = min(min_mod, lo)
+            if lo < tol and len(candidates) < 64:
+                for j in np.flatnonzero(vals < tol)[:8]:
+                    candidates.append((x0, complex(ys[j])))
+    roots = []
+    for x0, y0 in candidates:
+        try:
+            root = newton_refine(slc.restrict_x(y0), x0, tol=tol)
+        except NoConvergence:
+            continue
+        if all(abs(root - q) > 1e-8 for q, _ in roots):
+            res = np.abs(slc.eval_many(np.asarray([root]), np.asarray([y0])))
+            roots.append((root, float(res[0])))
+    roots.sort(key=lambda z: (z[0].real, z[0].imag))
+    return roots, min_mod, [(complex(x0), y0) for x0, y0 in candidates]

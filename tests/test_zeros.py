@@ -38,7 +38,7 @@ from bergman.zeros import (
     simplex_slice,
 )
 
-from _oracles import simplex_restricted_kernel
+from _oracles import k2_scan_reference, polar_scan_reference, simplex_restricted_kernel
 
 SQ3 = 1.0 / math.sqrt(3.0)
 
@@ -445,6 +445,82 @@ def test_grid_scan_k2_pair_clean_minimum():
 def test_grid_scan_rejects_low_resolution():
     with pytest.raises(PreconditionViolated):
         grid_zero_scan(axis1_slice(4.0), 4)
+
+
+def _never(*_):
+    raise AssertionError("evaluated before the resolution check")
+
+
+@pytest.mark.parametrize("slc", [
+    SliceFunction(eval=_never, description="slice"),
+    TwoVarSlice(eval_many=_never, description="k2"),
+], ids=["slice", "k2"])
+def test_grid_scan_rejects_resolution_above_cap(slc):
+    assert zeros_module.MAX_RESOLUTION == 256
+    with pytest.raises(PreconditionViolated, match=r"8\.\.256, got 257"):
+        grid_zero_scan(slc, 257)
+
+
+@pytest.mark.parametrize("res", [8, 12, 48, 50])
+@pytest.mark.parametrize("tol", [1e-9, 0.05])
+def test_k2_scan_matches_per_pairing_reference(res, tol, monkeypatch):
+    # one eval_many call per block of first pairings gives the candidates,
+    # the zeros and the bits of min_modulus of one call per first pairing
+    seeds = []
+
+    def refine(f, seed, tol):
+        seeds.append((seed, f.description))
+        return newton_refine(f, seed, tol=tol)
+
+    monkeypatch.setattr(zeros_module, "newton_refine", refine)
+    rep = grid_zero_scan(k2_pair_slice(), res, tol=tol)
+    want, want_min, cells = k2_scan_reference(k2_pair_slice(), res, tol)
+    assert seeds == [(x0, f"k2 at second pairing {y0}") for x0, y0 in cells]
+    assert [(z.location, z.residual) for z in rep.zeros] == want
+    assert rep.min_modulus.hex() == want_min.hex()
+    if (res, tol) == (48, 0.05):
+        assert len(rep.zeros) == 8  # the 64-candidate and 8-per-pairing caps bite
+
+
+@pytest.fixture
+def no_winding(monkeypatch):
+    """Skip the winding count: these tests compare the scan's zero lists."""
+    monkeypatch.setattr(zeros_module, "count_zeros_winding", lambda f, radius: -1)
+
+
+_WORKLOAD_SLICES = (
+    [axis1_slice(p) for p in (3.0, 4.0, 6.5, 7.3, 10.0, 13.5, 18.0, 22.2, 27.0, 32.0)]
+    + [axis2_slice(p) for p in (0.5, 1.0, 2.2, 3.0, 5.0, 8.0)]
+    + [simplex_slice(n) for n in (2, 3, 4, 5)]
+    + [mixed_slice(n) for n in (3, 4, 5, 6)])
+
+
+@pytest.mark.parametrize("slc", _WORKLOAD_SLICES, ids=lambda s: s.description)
+def test_polar_scan_matches_per_cell_reference(slc, no_winding):
+    rep = grid_zero_scan(slc, 48)
+    assert [z.location for z in rep.zeros] == polar_scan_reference(slc, 48)[0]
+
+
+@pytest.mark.parametrize("res", [8, 9, 13, 17, 24, 31, 37, 50, 64, 71])
+def test_polar_scan_keeps_every_reference_zero(res, no_winding):
+    # the non-strict minima seed at least the cells the strict ones did
+    for slc in (axis1_slice(4.0), axis1_slice(13.5), axis2_slice(3.0),
+                simplex_slice(5), mixed_slice(6)):
+        got = [z.location for z in grid_zero_scan(slc, res).zeros]
+        for q in polar_scan_reference(slc, res)[0]:
+            assert min(abs(q - g) for g in got) <= 1e-8, (slc.description, res, q)
+
+
+@pytest.mark.parametrize("slc,count", [
+    (axis1_slice(7.3), 4), (mixed_slice(5), 2), (simplex_slice(6), 4),
+    (simplex_slice(8), 6),
+], ids=["axis1-7.3", "mixed-5", "simplex-6", "simplex-8"])
+def test_polar_scan_seeds_both_cells_of_a_tie(slc, count):
+    # cells mirrored about the imaginary axis tie in |f| up to rounding; a
+    # strict minimum test dropped both of a tied pair and listed fewer zeros
+    # than the winding count (3/4, 1/2, 2/4 on a scalar grid, 5/6 on numpy's)
+    rep = grid_zero_scan(slc, 50)
+    assert len(rep.zeros) == rep.count_by_winding == count
 
 
 # ----------------------------------------------- independent certification
