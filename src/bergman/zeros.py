@@ -73,8 +73,7 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """Two-variable slice with a vectorized evaluator over pairing arrays;
-    eval_many must broadcast a column of x against a row of y."""
+    """Two-variable slice whose eval_many broadcasts a column of x against a row of y."""
 
     eval_many: Callable
     description: str
@@ -328,10 +327,11 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
             vals = np.abs(slc.eval_many(xs[k:k + step, None], ys[None, :]))
             lo = float(vals.min())
             min_mod = min(min_mod, lo)
-            for i, row in enumerate(vals < tol if lo < tol else ()):
-                if len(candidates) < 64:
-                    candidates += [(complex(xs[k + i]), complex(ys[j]))
-                                   for j in np.flatnonzero(row)[:8]]
+            if lo < tol:
+                for i, row in enumerate(vals < tol):
+                    if len(candidates) < 64:
+                        candidates += [(complex(xs[k + i]), complex(ys[j]))
+                                       for j in np.flatnonzero(row)[:8]]
 
     roots: list[tuple[complex, float]] = []
     if slc.restrict_x is not None:
