@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from .domains import (
     Block,
@@ -102,6 +101,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out))
     tmp = None
     try:

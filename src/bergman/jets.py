@@ -6,6 +6,9 @@ This is exact up to rounding: no symbolic algebra, no finite differences.
 
 An order-1 Jet1 may hold same-shape numpy arrays, one jet for a batch of points,
 so the winding count runs each slice formula once per block of contour points.
+
+Each recurrence is written once, on coefficient lists (_mul1, _div1, _rpow1,
+_factorial_times); Jet1's operators and the kernels' hot paths both call them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,37 @@ from .errors import (
 _ZERO_EPS = 1e-300
 
 
+class _JetOps:
+    """The operators of Jet1 and Jet2: jet_arith on the jet and the other
+    operand, which the class's _lift turns into a jet like it."""
+
+    def __add__(self, other):
+        return jet_arith(self, self._lift(other), "add")
+
+    def __radd__(self, other):
+        return jet_arith(self._lift(other), self, "add")
+
+    def __sub__(self, other):
+        return jet_arith(self, self._lift(other), "sub")
+
+    def __rsub__(self, other):
+        return jet_arith(self._lift(other), self, "sub")
+
+    def __mul__(self, other):
+        return jet_arith(self, self._lift(other), "mul")
+
+    def __rmul__(self, other):
+        return jet_arith(self._lift(other), self, "mul")
+
+    def __truediv__(self, other):
+        return jet_arith(self, self._lift(other), "div")
+
+    def __rtruediv__(self, other):
+        return jet_arith(self._lift(other), self, "div")
+
+
 @dataclass(frozen=True)
-class Jet1:
+class Jet1(_JetOps):
     """Taylor coefficients c_0..c_N of a function of one variable at ``center``;
     at order 1 these may be numpy arrays (a batch, see the module docstring)
     whose jets share one center object, so combining them compares no arrays."""
@@ -35,36 +67,17 @@ class Jet1:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other):
-        return jet_arith(self, _coerce1(other, self), "add")
-
-    def __radd__(self, other):
-        return jet_arith(_coerce1(other, self), self, "add")
-
-    def __sub__(self, other):
-        return jet_arith(self, _coerce1(other, self), "sub")
-
-    def __rsub__(self, other):
-        return jet_arith(_coerce1(other, self), self, "sub")
-
-    def __mul__(self, other):
-        return jet_arith(self, _coerce1(other, self), "mul")
-
-    def __rmul__(self, other):
-        return jet_arith(_coerce1(other, self), self, "mul")
-
-    def __truediv__(self, other):
-        return jet_arith(self, _coerce1(other, self), "div")
-
-    def __rtruediv__(self, other):
-        return jet_arith(_coerce1(other, self), self, "div")
+    def _lift(self, value) -> Jet1:
+        if isinstance(value, Jet1):
+            return value
+        return Jet1(self.center, (complex(value),) + (0j,) * self.order)
 
     def __pow__(self, n):
         # whole non-negative ints multiply out; any other real goes through
         # jet_rpow, so write a float exponent (x ** 4.0) to take the recurrence
         if not isinstance(n, int) or n < 0:
             return jet_rpow(self, float(n))
-        out = _coerce1(1.0, self)
+        out = self._lift(1.0)
         for _ in range(n):
             out = out * self
         return out
@@ -74,7 +87,7 @@ class Jet1:
 
 
 @dataclass(frozen=True)
-class Jet2:
+class Jet2(_JetOps):
     """Coefficients c_{k,l} of a function of (t,u) at ``center``, row-major in k."""
 
     center: tuple[complex, complex]
@@ -84,29 +97,10 @@ class Jet2:
     def orders(self) -> tuple[int, int]:
         return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
 
-    def __add__(self, other):
-        return jet_arith(self, _coerce2(other, self), "add")
-
-    def __radd__(self, other):
-        return jet_arith(_coerce2(other, self), self, "add")
-
-    def __sub__(self, other):
-        return jet_arith(self, _coerce2(other, self), "sub")
-
-    def __rsub__(self, other):
-        return jet_arith(_coerce2(other, self), self, "sub")
-
-    def __mul__(self, other):
-        return jet_arith(self, _coerce2(other, self), "mul")
-
-    def __rmul__(self, other):
-        return jet_arith(_coerce2(other, self), self, "mul")
-
-    def __truediv__(self, other):
-        return jet_arith(self, _coerce2(other, self), "div")
-
-    def __rtruediv__(self, other):
-        return jet_arith(_coerce2(other, self), self, "div")
+    def _lift(self, value) -> Jet2:
+        if isinstance(value, Jet2):
+            return value
+        return jet2_const(value, self.orders, self.center)
 
     def __neg__(self):
         return Jet2(self.center, tuple(tuple(-c for c in row) for row in self.coeffs))
@@ -149,18 +143,6 @@ def jet2_lift_t(a: Jet1, u_center: complex, u_order: int) -> Jet2:
     for k, c in enumerate(a.coeffs):
         rows[k][0] = c
     return Jet2((a.center, complex(u_center)), tuple(tuple(r) for r in rows))
-
-
-def _coerce1(value, like: Jet1) -> Jet1:
-    if isinstance(value, Jet1):
-        return value
-    return Jet1(like.center, (complex(value),) + (0j,) * like.order)
-
-
-def _coerce2(value, like: Jet2) -> Jet2:
-    if isinstance(value, Jet2):
-        return value
-    return jet2_const(value, like.orders, like.center)
 
 
 def _check1(a: Jet1, b: Jet1) -> None:
@@ -261,34 +243,45 @@ def jet_arith(a, b, op: str):
     raise CenterMismatch(f"cannot combine {type(a).__name__} with {type(b).__name__}")
 
 
-def jet_rpow(a: Jet1, r: float) -> Jet1:
-    """Principal-branch real power of a jet.
-
-    Uses the power recurrence k*a0*b_k = sum_{j=1..k} (j(r+1)-k) a_j b_{k-j},
-    which follows from differentiating b = a^r.
-    """
-    a0 = a.coeffs[0]
+def _rpow1(a, r: float) -> list[complex]:
+    """Principal-branch real power of a coefficient list, by the recurrence
+    k a_0 b_k = sum_{j=1..k} (j(r+1)-k) a_j b_{k-j}, from differentiating b = a^r.
+    Terms with a complex a_j == 0 are skipped: each would add a signed zero to
+    a sum that started at 0j, which keeps the bits unless some b_{k-j} is inf
+    or nan.  A linear a (1 - t) costs O(N), not O(N^2)."""
+    a0 = a[0]
     if _near_zero(a0):
         raise BranchPointJet("jet constant term sits on the branch point of ^r")
-    n = a.order
-    out = [0j] * (n + 1)
+    nonzero = [j for j in range(1, len(a)) if not isinstance(a[j], complex) or a[j] != 0]
+    out = [0j] * len(a)
     out[0] = a0 ** r
-    for k in range(1, n + 1):
+    for k in range(1, len(a)):
         s = 0j
-        for j in range(1, k + 1):
-            s += (j * (r + 1) - k) * a.coeffs[j] * out[k - j]
+        for j in nonzero:
+            if j > k:
+                break
+            s += (j * (r + 1) - k) * a[j] * out[k - j]
         out[k] = s / (k * a0)
-    return Jet1(a.center, tuple(out))
+    return out
+
+
+def jet_rpow(a: Jet1, r: float) -> Jet1:
+    """Principal-branch real power of a jet; see _rpow1."""
+    return Jet1(a.center, tuple(_rpow1(a.coeffs, r)))
+
+
+def _factorial_times(c, k: int):
+    """The k! c_k read-off: c times 2, 3, ..., k in turn (k! at once rounds differently)."""
+    for i in range(2, k + 1):
+        c = c * i
+    return c
 
 
 def derivative_extract(a: Jet1, k: int) -> complex:
     """k-th derivative of the represented function at the center: k! * c_k."""
     if k > a.order or k < 0:
         raise OrderExceeded(f"derivative order {k} exceeds stored order {a.order}")
-    out = a.coeffs[k]
-    for i in range(2, k + 1):
-        out = out * i
-    return out
+    return _factorial_times(a.coeffs[k], k)
 
 
 def partial_extract(a: Jet2, k: int, l: int) -> complex:
@@ -297,9 +290,4 @@ def partial_extract(a: Jet2, k: int, l: int) -> complex:
     if k > nt or l > nu or k < 0 or l < 0:
         raise OrderExceeded(
             f"partial order ({k},{l}) exceeds stored orders ({nt},{nu})")
-    out = a.coeffs[k][l]
-    for i in range(2, k + 1):
-        out = out * i
-    for i in range(2, l + 1):
-        out = out * i
-    return out
+    return _factorial_times(_factorial_times(a.coeffs[k][l], k), l)

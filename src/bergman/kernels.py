@@ -26,6 +26,9 @@ from .errors import (
 )
 from .jets import (
     Jet1,
+    _div1,
+    _factorial_times,
+    _rpow1,
     derivative_extract,
     jet1_const,
     jet1_variable,
@@ -105,6 +108,15 @@ def _hartogs_fpp(p: float, s, y):
     d = bp - y
     q = bp / d
     return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
+
+
+def _recip_power_jet(tau: complex, p: float, y: complex, order: int) -> list[complex]:
+    """Coefficients to ``order`` of 1/((1-t)^p - y) at t = tau, for the fold and
+    the slice limit: the steps of 1.0 / (jet_rpow(1.0 - t, p) - y) on lists, so
+    the same bits (x - 0.0 is x, so only b_0 takes y)."""
+    b = _rpow1([(1 + 0j) - complex(tau), -1 + 0j] + [0j] * (order - 1), p)
+    b[0] = b[0] - complex(y)
+    return _div1([1 + 0j] + [0j] * order, b)
 
 
 def _slice_direct(p: float, xi, y):
@@ -214,9 +226,7 @@ def pflate_kernel(n: int, m: int, p: float,
     g = 1.0 / b
     for _ in range(m - 1):
         g = g / b
-    val = derivative_extract(g, n + 1)
-    for i in range(2, m):
-        val = val * i
+    val = _factorial_times(derivative_extract(g, n + 1), m - 1)
     return KernelValue(val / (p * math.pi ** (n + m)), "pflate")
 
 
@@ -324,10 +334,10 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
         for term, om_bar in combo:
             tau += term
             weight *= om_bar
-        g = 1.0 / (jet_rpow(1.0 - jet1_variable(tau, order), p) - y)
+        g = _recip_power_jet(tau, p, y, order)
         contrib = 0j
         for deg, factors in terms:
-            contrib += math.prod(factors, start=derivative_extract(g, deg))
+            contrib += math.prod(factors, start=_factorial_times(g[deg], deg))
         total += weight * contrib
     return KernelValue(prefactor * total, "folded",
                        near_singular_limit=bool(series))
@@ -354,7 +364,7 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
         except ZeroDivisionError:
             raise OverflowError(
                 f"(1 - xi)^p underflows to 0 at p = {p}, xi = {xi}") from None
-    c = (1.0 / (jet_rpow(1.0 - jet1_variable(0j, 7), p) - y)).coeffs
+    c = _recip_power_jet(0j, p, y, 7)
     fpp = [(k + 1) * (k + 2) * c[k + 2] for k in range(6)]
     return KernelValue(_odd_limit(fpp, xi) / (p * math.pi ** 2), "slice_kp",
                        near_singular_limit=True)

@@ -14,12 +14,20 @@ Orders through 4 are comfortably below 1e-6.
 """
 
 import cmath
+import itertools
 import math
 
 from bergman.domains import diagonal_domain, log_monomial_norm_sq
 from bergman.errors import NoConvergence
-from bergman.jets import derivative_extract, jet1_variable, jet_rpow
-from bergman.kernels import KernelValue, simplex_restriction_constant, slice_kernel_kp
+from bergman.jets import Jet1, derivative_extract, jet1_variable, jet_rpow
+from bergman.kernels import (
+    EPS_SWITCH,
+    KernelValue,
+    _odd_limit,
+    pairing,
+    simplex_restriction_constant,
+    slice_kernel_kp,
+)
 from bergman.zeros import DEFAULT_SCAN_MARGIN, newton_refine
 
 # central stencils with O(h^2) truncation error, keyed by derivative order
@@ -275,3 +283,91 @@ def k2_scan_reference(slc, resolution, tol=1e-9):
             roots.append((root, float(res[0])))
     roots.sort(key=lambda z: (z[0].real, z[0].imag))
     return roots, min_mod, [(complex(x0), y0) for x0, y0 in candidates]
+
+
+# ------------------------------------------- Jet1-object references, dense
+# The fold and the slice limit read the jet of 1/((1-t)^p - y) off one
+# list-level helper, and every jet power skips zero terms of its base.  These
+# are the fold, pflate and slice-limit formulas through Jet1 objects and the
+# full O(N^2) recurrence, kept to pin the bits.
+
+
+def _read_off(c, k):
+    """k! c multiplied up by 2, 3, ..., k in turn (k! c in one step rounds differently)."""
+    for i in range(2, k + 1):
+        c = c * i
+    return c
+
+
+def dense_rpow(a, r):
+    """Principal-branch a^r by the power recurrence, summing every term."""
+    a0 = a.coeffs[0]
+    n = a.order
+    out = [0j] * (n + 1)
+    out[0] = a0 ** r
+    for k in range(1, n + 1):
+        s = 0j
+        for j in range(1, k + 1):
+            s += (j * (r + 1) - k) * a.coeffs[j] * out[k - j]
+        out[k] = s / (k * a0)
+    return Jet1(a.center, tuple(out))
+
+
+def folded_reference(p_list, p, pt, root_choice=None):
+    """general_folded_kernel's value through Jet1 objects, no domain check."""
+    n = len(p_list)
+    v = [pt.z[k] * pt.w[k].conjugate() for k in range(n)]
+    y = pt.z[n] * pt.w[n].conjugate()
+    offsets = tuple(root_choice) if root_choice is not None else (0,) * n
+    direct = [k for k in range(n) if p_list[k] == 1 or abs(v[k]) >= EPS_SWITCH]
+    series = [k for k in range(n) if k not in direct]
+    prefactor = 1.0 / (p * math.pi ** (n + 1))
+    roots = []
+    for k in direct:
+        pk = p_list[k]
+        if pk == 1:
+            sk = v[k]
+        else:
+            ang = (cmath.phase(v[k]) + 2.0 * math.pi * offsets[k]) / pk
+            sk = abs(v[k]) ** (1.0 / pk) * cmath.exp(1j * ang)
+        prefactor = prefactor / (pk * pk * sk ** (pk - 1))
+        oms = [cmath.exp(-2j * math.pi * j / pk) for j in range(1, pk + 1)]
+        roots.append([(sk * om, om) for om in oms])
+    for k in series:
+        prefactor = prefactor / p_list[k]
+    series_imax = 10
+    filt = [[(b, v[k] ** i / math.factorial(b)) for i, b in enumerate(range(
+        p_list[k] - 1, (series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
+        for k in reversed(series)]
+    terms = [(n + 1 + sum(b for b, _ in idx), [f for _, f in reversed(idx)])
+             for idx in itertools.product(*filt)]
+    order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
+    total = 0j
+    for combo in itertools.product(*roots):
+        tau, weight = 0j, 1.0 + 0j
+        for term, om_bar in combo:
+            tau += term
+            weight *= om_bar
+        g = 1.0 / (dense_rpow(1.0 - jet1_variable(tau, order), p) - y)
+        contrib = 0j
+        for deg, factors in terms:
+            contrib += math.prod(factors, start=_read_off(g.coeffs[deg], deg))
+        total += weight * contrib
+    return prefactor * total
+
+
+def pflate_reference(n, m, p, z, Z, w, W):
+    """pflate_kernel's value through Jet1 objects, no domain check."""
+    b = dense_rpow(1.0 - jet1_variable(pairing(z, w), n + 1), p) - pairing(Z, W)
+    g = 1.0 / b
+    for _ in range(m - 1):
+        g = g / b
+    val = _read_off(_read_off(g.coeffs[n + 1], n + 1), m - 1)
+    return val / (p * math.pi ** (n + m))
+
+
+def slice_limit_reference(p, x, y):
+    """slice_kernel_kp's small-|xi| value through Jet1 objects."""
+    c = (1.0 / (dense_rpow(1.0 - jet1_variable(0j, 7), p) - y)).coeffs
+    fpp = [(k + 1) * (k + 2) * c[k + 2] for k in range(6)]
+    return _odd_limit(fpp, cmath.sqrt(x)) / (p * math.pi ** 2)

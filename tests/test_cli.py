@@ -511,6 +511,12 @@ BAD_INPUTS = [
     ("interior-underflow-slice-huge-p",
      ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":1e300}]}',
       "--z", "0.3,0"], 2, "error: floating-point overflow"),
+    # (1 - tau)^p overflows at an interior point of the fold before K underflows
+    ("interior-overflow-folded-huge-p",
+     ["eval", "--domain",
+      '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":1e5}]}',
+      "--z", "0.3,0.05,0", "--w", "-0.3,0.05j,0"], 2,
+     "error: floating-point overflow (complex exponentiation)"),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),

@@ -42,7 +42,13 @@ from bergman.kernels import (
 )
 from bergman.oracle import SeriesConfig, series_kernel
 
-from _oracles import jet_fpp, simplex_restricted_kernel
+from _oracles import (
+    folded_reference,
+    jet_fpp,
+    pflate_reference,
+    simplex_restricted_kernel,
+    slice_limit_reference,
+)
 
 CLOSED_TOL = 1e-12
 SERIES_PHI = 0.6
@@ -192,6 +198,102 @@ def test_pflate_matches_two_variable_jet_bit_for_bit():
         z, w = (block_point(rng, [(n, 1.0), (m, p)], 0.9 * rng.random()) for _ in "zw")
         args = (n, m, p, z[:n], z[n:], w[:n], w[n:])
         assert same_bits(pflate_kernel(*args).value, pflate_jet2_reference(*args)), args
+
+
+# ------------------------------------- the shared jet against Jet1 objects
+# The fold and the slice limit read 1/((1-t)^p - y) off one list-level jet,
+# and pflate_kernel builds it from Jet1 objects; all three take the sparse
+# power recurrence.  The references in _oracles take the same formulas
+# through Jet1 objects and the dense recurrence.
+
+
+def outcome(f, *args, **kwargs):
+    """The value's float.hex pair, or the type of the error raised."""
+    try:
+        v = f(*args, **kwargs)
+    except ArithmeticError as e:
+        return type(e)
+    v = v.value if hasattr(v, "value") else v
+    return v.real.hex(), v.imag.hex()
+
+
+def fold_draw(rng, p_list, p, near_axis):
+    """Eval-mix's fold points: phi in (0.15, 0.4) and every folded pairing at
+    least 2e-3, so each takes the root sum; near an axis, one folded pairing
+    then falls below EPS_SWITCH, which takes the Taylor-filter branch."""
+    exps = tuple(float(q) for q in p_list) + (p,)
+
+    def draw():
+        shares = rng.random(len(exps)) + 0.05
+        shares *= rng.uniform(0.15, 0.4) / shares.sum()
+        return [complex(s ** (q / 2.0) * cmath.exp(2j * math.pi * rng.random()))
+                for s, q in zip(shares, exps)]
+
+    while True:
+        z, w = draw(), draw()
+        if all(abs(z[k] * w[k]) >= 2e-3 for k in range(len(p_list))):
+            break
+    if near_axis:
+        k = int(rng.integers(len(p_list)))
+        z[k] *= 1e-3 * rng.random()
+        w[k] *= 1e-3 * rng.random()
+    return KernelPoint(tuple(z), tuple(w))
+
+
+@pytest.mark.parametrize("p_list", [[2, 2], [3, 3], [2, 2, 2], [1, 2], [1, 1, 3], [2]],
+                         ids=str)
+def test_fold_is_its_jet1_reference_bit_for_bit(p_list):
+    rng = np.random.default_rng(20270 + len(p_list) + sum(p_list))
+    for i in range(60):
+        p = rng.uniform(1.5, 4.0) if i % 6 else float(rng.choice((50.0, 400.0, 1000.0)))
+        pt = fold_draw(rng, p_list, p, near_axis=i % 2 == 1)
+        shift = [int(s) for s in rng.integers(0, 5, len(p_list))]
+        for choice in (None, shift):
+            got = outcome(general_folded_kernel, p_list, p, pt, root_choice=choice)
+            assert got == outcome(folded_reference, p_list, p, pt, choice), (p, pt, choice)
+
+
+def test_fold_at_a_zero_pairing_is_its_reference_bit_for_bit():
+    rng = np.random.default_rng(20279)
+    for p_list in ([2, 2], [3, 3], [2, 2, 2]):
+        for _ in range(10):
+            p = rng.uniform(1.5, 4.0)
+            z, w = (list(diag_point(rng, (2.0,) * len(p_list) + (p,), 0.3)) for _ in "zw")
+            z[int(rng.integers(len(p_list)))] = 0j
+            pt = KernelPoint(tuple(z), tuple(w))
+            assert (outcome(general_folded_kernel, p_list, p, pt)
+                    == outcome(folded_reference, p_list, p, pt)), (p, pt)
+
+
+def test_pflate_is_its_jet1_reference_bit_for_bit():
+    rng = np.random.default_rng(20280)
+    for n in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            for i in range(12):
+                p = (rng.uniform(1.5, 8.0) if i % 4
+                     else float(rng.choice((50.0, 400.0, 1000.0))))
+                z, w = (block_point(rng, [(n, 1.0), (m, p)], 0.9 * rng.random()) for _ in "zw")
+                args = (n, m, p, z[:n], z[n:], w[:n], w[n:])
+                assert outcome(pflate_kernel, *args) == outcome(pflate_reference, *args), args
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0, 8.0, 50.0, 400.0, 1000.0])
+def test_slice_limit_is_its_jet1_reference_bit_for_bit(p):
+    rng = np.random.default_rng(20281)
+    for _ in range(40):
+        z, w = (diag_point(rng, (2.0, p), rng.uniform(0.1, 0.95)) for _ in "zw")
+        x, y = pair_slice(z, w)
+        x *= 1e-7
+        assert abs(cmath.sqrt(x)) < EPS_SWITCH
+        assert outcome(slice_kernel_kp, p, x, y) == outcome(slice_limit_reference, p, x, y)
+
+
+def test_fold_overflows_at_an_interior_point_at_huge_p():
+    # (1 - tau)^p overflows before K, which underflows, can be formed
+    pt = KernelPoint((0.3, 0.05, 0), (-0.3, 0.05j, 0))
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        general_folded_kernel([2, 2], 1e5, pt)
+    assert outcome(folded_reference, [2, 2], 1e5, pt) is OverflowError
 
 
 # --------------------------------------------------- arrays against scalars

@@ -23,6 +23,7 @@ from bergman.jets import (
 from bergman.zeros import SliceFunction, count_zeros_winding
 
 from _oracles import (
+    dense_rpow,
     fd_derivative,
     fd_derivative_best,
     fd_partial_best,
@@ -301,3 +302,39 @@ def test_array_jet_division_leaves_operands_unchanged():
     # when the quotient came first in the product
     q = SliceFunction(eval=lambda s: (s / (1.5 - s)) * (s - 0.3), description="q")
     assert count_zeros_winding(q, 0.5) == 2
+
+
+# ------------------------------------------------- sparse power recurrence
+# jet_rpow skips the terms of its recurrence whose a_j is an exact zero; the
+# full sum, kept in _oracles, must give the same bits.
+
+
+def _bits(jet):
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in jet.coeffs]
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 24, 35, 47])
+def test_sparse_rpow_on_linear_jets_is_the_dense_sum(order):
+    rng = np.random.default_rng(40 + order)
+    for _ in range(20):
+        t0 = complex(*(0.9 * rng.uniform(-1.0, 1.0, 2)))
+        r = float(rng.choice((rng.uniform(-8.0, 8.0), 50.0, 400.0, 1000.0, 0.5, -2.0)))
+        x = 1.0 - jet1_variable(t0, order)
+        assert _bits(jet_rpow(x, r)) == _bits(dense_rpow(x, r)), (order, t0, r)
+
+
+def test_sparse_rpow_with_a_zero_inside_the_jet_is_the_dense_sum():
+    # a_2 = 0 is skipped while a_3 != 0 still enters every later sum
+    for x in (j(1.5, 0.3, 0, -0.7j, 0, 0, 2.0, 0), j(0.8 - 0.2j, 0, 0, 1.1, 0, 0.4j)):
+        for r in (0.5, -1.75, 3.0, 12.5):
+            assert _bits(jet_rpow(x, r)) == _bits(dense_rpow(x, r)), (x, r)
+
+
+def test_sparse_rpow_on_array_jets_is_the_dense_sum():
+    t = 0.999 * np.exp(2j * np.pi * np.arange(256) / 256)
+    for x in (1.0 - _array_variable(t), 1.0 + _array_variable(t)):
+        for r in (-2.0, -7.0, 2.5, -161.0):
+            with np.errstate(all="ignore"):
+                got, want = jet_rpow(x, r), dense_rpow(x, r)
+            for g, w in zip(got.coeffs, want.coeffs):
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), r
