@@ -8,7 +8,7 @@ An order-1 Jet1 may hold same-shape numpy arrays, one jet for a batch of points,
 so the winding count runs each slice formula once per block of contour points.
 
 Each recurrence is written once, on coefficient lists (_mul1, _div1, _rpow1,
-_factorial_times); Jet1's operators and the kernels' hot paths both call them.
+_factorial_times); Jet1's operators and the kernels' closed forms call them.
 """
 
 from __future__ import annotations

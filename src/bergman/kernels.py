@@ -5,7 +5,9 @@ that of {|zeta|^2 < phi} by summing over p-th roots of unity), inflation
 (scalar fiber variable replaced by a vector one, realized by derivatives of
 the profile), and deflation (a two-exponent fiber pair traded for a single
 merged exponent, up to an explicit Gamma-ratio constant).  Every derivative
-is extracted from a jet; nothing here differentiates numerically.
+is extracted from a jet; nothing here differentiates numerically.  Only the
+profile operators build Jet1 objects; the closed forms read their jets off
+coefficient lists (_recip_power_jet, _rpow1) and run on a jet only if passed one.
 """
 
 from __future__ import annotations
@@ -110,13 +112,15 @@ def _hartogs_fpp(p: float, s, y):
     return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
 
 
-def _recip_power_jet(tau: complex, p: float, y: complex, order: int) -> list[complex]:
-    """Coefficients to ``order`` of 1/((1-t)^p - y) at t = tau, for the fold and
-    the slice limit: the steps of 1.0 / (jet_rpow(1.0 - t, p) - y) on lists, so
-    the same bits (x - 0.0 is x, so only b_0 takes y)."""
+def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int) -> list[complex]:
+    """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
+    b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits."""
     b = _rpow1([(1 + 0j) - complex(tau), -1 + 0j] + [0j] * (order - 1), p)
-    b[0] = b[0] - complex(y)
-    return _div1([1 + 0j] + [0j] * order, b)
+    b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
+    g = [1 + 0j] + [0j] * order
+    for _ in range(m):
+        g = _div1(g, b)
+    return g
 
 
 def _slice_direct(p: float, xi, y):
@@ -213,8 +217,7 @@ def pflate_kernel(n: int, m: int, p: float,
     """Kernel of {||z||^2 + ||Z||^(2/p) < 1}, z in C^n, Z in C^m.
 
     (1/(p pi^(n+m))) d^(n+m)/dt^(n+1) du^(m-1) [1/((1-t)^p - u)]
-    at t = <z,w>, u = <Z,W>.  The u-derivative is (m-1)!/((1-t)^p - u)^m, so
-    one-variable jets in t carry the whole formula.
+    at t = <z,w>, u = <Z,W>.  The u-derivative is (m-1)!/((1-t)^p - u)^m, a jet in t.
     """
     if n < 1 or m < 1:
         raise InvalidOrder(f"both block dimensions must be >= 1, got ({n},{m})")
@@ -222,11 +225,8 @@ def pflate_kernel(n: int, m: int, p: float,
     for pt in (tuple(z) + tuple(Z), tuple(w) + tuple(W)):
         if not contains(d, pt):
             raise OutsideDomain(f"point {pt} outside the domain")
-    b = jet_rpow(1.0 - jet1_variable(pairing(z, w), n + 1), p) - pairing(Z, W)
-    g = 1.0 / b
-    for _ in range(m - 1):
-        g = g / b
-    val = _factorial_times(derivative_extract(g, n + 1), m - 1)
+    g = _recip_power_jet(pairing(z, w), p, pairing(Z, W), m, n + 1)
+    val = _factorial_times(_factorial_times(g[n + 1], n + 1), m - 1)
     return KernelValue(val / (p * math.pi ** (n + m)), "pflate")
 
 
@@ -334,7 +334,7 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
         for term, om_bar in combo:
             tau += term
             weight *= om_bar
-        g = _recip_power_jet(tau, p, y, order)
+        g = _recip_power_jet(tau, p, y, 1, order)
         contrib = 0j
         for deg, factors in terms:
             contrib += math.prod(factors, start=_factorial_times(g[deg], deg))
@@ -364,7 +364,7 @@ def slice_kernel_kp(p: float, x: complex, y: complex) -> KernelValue:
         except ZeroDivisionError:
             raise OverflowError(
                 f"(1 - xi)^p underflows to 0 at p = {p}, xi = {xi}") from None
-    c = _recip_power_jet(0j, p, y, 7)
+    c = _recip_power_jet(0j, p, y, 1, 7)
     fpp = [(k + 1) * (k + 2) * c[k + 2] for k in range(6)]
     return KernelValue(_odd_limit(fpp, xi) / (p * math.pi ** 2), "slice_kp",
                        near_singular_limit=True)
@@ -455,7 +455,7 @@ def _odd_quotient(a, m: float, scale: float, t):
     so for |t| < EPS_SWITCH it is scale times the _odd_limit of (a - t)^-m."""
     if isinstance(t, Jet1) or abs(t) >= EPS_SWITCH:
         return scale * ((a - t) ** -m - (a + t) ** -m) / (4.0 * t)
-    return scale * _odd_limit(jet_rpow(a - jet1_variable(0j, 5), -m).coeffs, t)
+    return scale * _odd_limit(_rpow1([complex(a), -1 + 0j, 0j, 0j, 0j, 0j], -m), t)
 
 
 def _odd_limit(c, t):

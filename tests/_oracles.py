@@ -286,10 +286,10 @@ def k2_scan_reference(slc, resolution, tol=1e-9):
 
 
 # ------------------------------------------- Jet1-object references, dense
-# The fold and the slice limit read the jet of 1/((1-t)^p - y) off one
-# list-level helper, and every jet power skips zero terms of its base.  These
-# are the fold, pflate and slice-limit formulas through Jet1 objects and the
-# full O(N^2) recurrence, kept to pin the bits.
+# The fold, pflate and the slice limit read the jet of ((1-t)^p - y)^-m off
+# one list-level helper, the odd-quotient limit takes its power on a list, and
+# every jet power skips zero terms of its base.  These are the same formulas
+# through Jet1 objects and the full O(N^2) recurrence, kept to pin the bits.
 
 
 def _read_off(c, k):
@@ -371,3 +371,8 @@ def slice_limit_reference(p, x, y):
     c = (1.0 / (dense_rpow(1.0 - jet1_variable(0j, 7), p) - y)).coeffs
     fpp = [(k + 1) * (k + 2) * c[k + 2] for k in range(6)]
     return _odd_limit(fpp, cmath.sqrt(x)) / (p * math.pi ** 2)
+
+
+def odd_limit_reference(a, m, scale, t):
+    """_odd_quotient's small-|t| value through Jet1 objects."""
+    return scale * _odd_limit(dense_rpow(a - jet1_variable(0j, 5), -m).coeffs, t)

@@ -517,6 +517,15 @@ BAD_INPUTS = [
       '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":1e5}]}',
       "--z", "0.3,0.05,0", "--w", "-0.3,0.05j,0"], 2,
      "error: floating-point overflow (complex exponentiation)"),
+    # the same (1 - t)^p overflow on the hartogs2 and pflate routes
+    ("interior-overflow-hartogs2-huge-p",
+     ["eval", "--domain", '{"blocks":[{"dim":1,"p":1},{"dim":1,"p":1e5}]}',
+      "--z", "0.2,0", "--w", "-0.2,0"], 2,
+     "error: floating-point overflow (complex exponentiation)"),
+    ("interior-overflow-pflate-huge-p",
+     ["eval", "--domain", '{"blocks":[{"dim":2,"p":1},{"dim":1,"p":1e5}]}',
+      "--z", "0.2,0,0", "--w", "-0.2,0,0"], 2,
+     "error: floating-point overflow (complex exponentiation)"),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),

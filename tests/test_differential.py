@@ -29,22 +29,27 @@ from bergman.jets import (
 from bergman.kernels import (
     EPS_SWITCH,
     KernelPoint,
+    _mixed_scale,
+    _odd_quotient,
     ball_kernel,
     ball_kernel_values,
     general_folded_kernel,
     hartogs2_kernel,
     k2_closed_form,
     k2_values,
+    mixed_family_kernel,
     pairing,
     pflate_kernel,
     slice_kernel_kp,
     slice_kp_values,
 )
 from bergman.oracle import SeriesConfig, series_kernel
+from bergman.zeros import ODD_QUOTIENTS
 
 from _oracles import (
     folded_reference,
     jet_fpp,
+    odd_limit_reference,
     pflate_reference,
     simplex_restricted_kernel,
     slice_limit_reference,
@@ -201,10 +206,10 @@ def test_pflate_matches_two_variable_jet_bit_for_bit():
 
 
 # ------------------------------------- the shared jet against Jet1 objects
-# The fold and the slice limit read 1/((1-t)^p - y) off one list-level jet,
-# and pflate_kernel builds it from Jet1 objects; all three take the sparse
-# power recurrence.  The references in _oracles take the same formulas
-# through Jet1 objects and the dense recurrence.
+# The fold, pflate and the slice limit read ((1-t)^p - y)^-m off one
+# list-level jet, and the odd-quotient limit takes (a - t)^-m on a list; all
+# take the sparse power recurrence.  The references in _oracles take the same
+# formulas through Jet1 objects and the dense recurrence.
 
 
 def outcome(f, *args, **kwargs):
@@ -288,12 +293,58 @@ def test_slice_limit_is_its_jet1_reference_bit_for_bit(p):
         assert outcome(slice_kernel_kp, p, x, y) == outcome(slice_limit_reference, p, x, y)
 
 
+def test_mixed_limit_is_its_jet1_reference_bit_for_bit():
+    # |v| below EPS_SWITCH takes the odd-quotient limit at a = 1 - t', t' complex
+    rng = np.random.default_rng(20282)
+    for n in range(2, 9):
+        for _ in range(30):
+            z, w = ([complex(c) for c in rng.uniform(0.1, 0.95) * u / np.linalg.norm(u)]
+                    for u in rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))
+            z[0] *= 1e-3 * rng.random()
+            w[0] *= 1e-3 * rng.random()
+            v = z[0] * w[0].conjugate()
+            tp = pairing(z[1:], w[1:])
+            assert abs(v) < EPS_SWITCH
+            want = outcome(odd_limit_reference, 1.0 - tp, n + 1.0, _mixed_scale(n), v)
+            assert outcome(mixed_family_kernel, n, z, w) == want, (n, z, w)
+
+
+@pytest.mark.parametrize("family", sorted(ODD_QUOTIENTS))
+def test_odd_quotient_limit_is_its_jet1_reference_bit_for_bit(family):
+    # the slices' parameter runs up to m = 4,000, the zero reports' cap
+    m_of, scale_of = ODD_QUOTIENTS[family]
+    top = {"axis1": 3998.0, "simplex": 2000, "mixed": 3999}[family]
+    rng = np.random.default_rng(20283)
+    params = [top] + [float(rng.uniform(1.0, top)) if family == "axis1"
+                      else int(rng.integers(2, top)) for _ in range(30)]
+    for q in params:
+        m = m_of(q)
+        assert m <= 4000.0
+        try:
+            scales = (1.0, scale_of(q))
+        except OverflowError:  # the simplex and mixed scales overflow at large n
+            scales = (1.0,)
+        for _ in range(10):
+            t = 1e-3 * rng.random() * cmath.exp(2j * math.pi * rng.random())
+            for s in scales:
+                assert (outcome(_odd_quotient, 1.0, m, s, t)
+                        == outcome(odd_limit_reference, 1.0, m, s, t)), (q, s, t)
+
+
 def test_fold_overflows_at_an_interior_point_at_huge_p():
     # (1 - tau)^p overflows before K, which underflows, can be formed
     pt = KernelPoint((0.3, 0.05, 0), (-0.3, 0.05j, 0))
     with pytest.raises(OverflowError, match="complex exponentiation"):
         general_folded_kernel([2, 2], 1e5, pt)
     assert outcome(folded_reference, [2, 2], 1e5, pt) is OverflowError
+
+
+def test_pflate_overflows_at_an_interior_point_at_huge_p():
+    # the same (1 - t)^p overflow on the pflate route and so on hartogs2
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        hartogs2_kernel(1e5, 0.2, 0, -0.2, 0)
+    args = (1, 1, 1e5, (0.2,), (0j,), (-0.2,), (0j,))
+    assert outcome(pflate_reference, *args) is OverflowError
 
 
 # --------------------------------------------------- arrays against scalars

@@ -13,7 +13,7 @@ from bergman.errors import (
     PoleHit,
     UnsupportedDomain,
 )
-from bergman.jets import jet1_const, jet1_variable
+from bergman.jets import Jet1, jet1_const, jet1_variable
 from bergman.kernels import (
     EPS_SWITCH,
     KernelPoint,
@@ -502,6 +502,44 @@ NAN = float("nan")
 def test_closed_forms_refuse_nan(call):
     with pytest.raises(OutsideDomain):
         call()
+
+
+# (id, closed-form call, whether it takes the small-argument branch)
+CLOSED_FORMS = [
+    ("k2", lambda: k2_closed_form(0.1 + 0.2j, -0.05), False),
+    ("slice_kp", lambda: slice_kernel_kp(3.5, 0.1 + 0.2j, -0.05), False),
+    ("slice_kp-limit", lambda: slice_kernel_kp(3.5, 1e-8j, -0.05), True),
+    ("mixed", lambda: mixed_family_kernel(4, (0.3, 0.2j, 0.1, 0.2),
+                                          (0.2j, 0.1, 0.3, -0.1)), False),
+    ("mixed-limit", lambda: mixed_family_kernel(4, (1e-4, 0.2j, 0.1, 0.2),
+                                                (2e-4j, 0.1, 0.3, -0.1)), True),
+    ("hartogs2", lambda: hartogs2_kernel(3.5, 0.3, 0.2j, 0.1j, 0.25), False),
+    ("fold", lambda: general_folded_kernel(
+        [2, 2], 2.5, KernelPoint((0.2, 0.3j, 0.1), (0.1j, 0.2, 0.3))), False),
+    ("fold-series", lambda: general_folded_kernel(
+        [2, 2], 2.5, KernelPoint((0.2, 1e-4, 0.1), (0.1j, 1e-4j, 0.3))), True),
+] + [(f"pflate-{n}-{m}", lambda n=n, m=m: pflate_kernel(
+    n, m, 2.5, (0.2,) * n, (0.1j,) * m, (0.1j,) * n, (0.2,) * m), False)
+     for n in (1, 2, 3) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("call,limit", [row[1:] for row in CLOSED_FORMS],
+                         ids=[row[0] for row in CLOSED_FORMS])
+def test_closed_forms_build_no_jet_objects(call, limit, monkeypatch):
+    # only the profile operators (disc, hartogs, fold, inflate) build Jet1s;
+    # every closed form reads its jet off coefficient lists
+    built = []
+    init = Jet1.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet1, "__init__", counting_init)
+    kv = call()
+    assert kv.near_singular_limit == limit and math.isfinite(abs(kv.value))
+    assert not built
+    assert ball_kernel(2, (0.1, 0.2), (0.2j, 0.1)) and built  # the counter counts
 
 
 # -------------------------------------------------------------- vectorized
