@@ -37,19 +37,7 @@ from .kernels import (
     k2_values,
 )
 from .oracle import SeriesConfig, reproducing_check, series_kernel
-from .zeros import (
-    DEFAULT_SCAN_MARGIN,
-    MAX_RESOLUTION,
-    ODD_QUOTIENTS,
-    axis1_slice,
-    axis2_slice,
-    axis2_zero_locus,
-    grid_zero_scan,
-    k2_pair_slice,
-    mixed_slice,
-    odd_quotient_zero_locus,
-    simplex_slice,
-)
+from .zeros import FAMILIES, MAX_RESOLUTION, ODD_QUOTIENTS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +45,6 @@ EXIT_OUTSIDE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 
-_LOCUS_SPAN = 0.95
 # most values one sweep grid may hold; each one costs a full zero scan
 _MAX_GRID = 1000
 
@@ -167,48 +154,26 @@ def _parse_range(text: str, label: str) -> list[float]:
 
 # --------------------------------------------------------------- families
 
-def _odd_family(fam: str, param: str, make) -> tuple:
-    """Table entry of an odd-quotient family: closed-form zeros, iff m > 4."""
-    m, scale = ODD_QUOTIENTS[fam]
-    return (param, make, lambda v, _: odd_quotient_zero_locus(m(v), scale(v)),
-            lambda v: m(v) > 4.0)
-
-
-# family -> (parameter, slice at a parameter value, zero report at a value
-# and the zeros arguments, does the family have zeros at that value); k2
-# takes no parameter.  The lambdas look the constructors up at call time, so
-# a rebound module attribute is seen.
-_FAMILIES = {
-    "axis1": _odd_family("axis1", "p", lambda p: axis1_slice(p)),
-    "axis2": ("p", lambda p: axis2_slice(p), lambda p, _: axis2_zero_locus(p),
-              lambda p: p > 2.0),
-    "simplex": _odd_family("simplex", "n", lambda n: simplex_slice(n)),
-    "mixed": _odd_family("mixed", "n", lambda n: mixed_slice(n)),
-    "k2": (None, lambda _: k2_pair_slice(),
-           lambda _, args: grid_zero_scan(k2_pair_slice(), args.res, tol=args.tol),
-           lambda _: False),
-}
-
-
-def _family(fam: str, args):
-    """Table entry of fam and its --p or --n value, that value and --res checked."""
-    if fam not in _FAMILIES:
-        raise _Usage(f"unknown family {fam!r}; pick axis1, axis2, simplex, mixed, k2")
+def _family(name: str, args):
+    """The record of --family name and its --p or --n value (None for k2),
+    that value and --res checked."""
+    if name not in FAMILIES:
+        raise _Usage(f"unknown family {name!r}; pick {', '.join(FAMILIES)}")
     if not 1 <= args.res <= MAX_RESOLUTION:
         raise _Usage(f"--res must lie in 1..{MAX_RESOLUTION}, got {args.res}")
-    entry = _FAMILIES[fam]
-    if entry[0] is None:
-        return entry + (None,)
-    value = getattr(args, entry[0])
-    (value,) = _family_values(fam, entry[0], None if value is None else [value])
-    return entry + (value,)
+    fam = FAMILIES[name]
+    if fam.param is None:
+        return fam, None
+    value = getattr(args, fam.param)
+    (value,) = _family_values(name, fam.param, None if value is None else [value])
+    return fam, value
 
 
-def _family_values(fam: str, flag: str, values: list | None) -> list:
-    """The values given for fam's parameter by --flag, each checked."""
+def _family_values(name: str, flag: str, values: list | None) -> list:
+    """The values given for the parameter of family name by --flag, each checked."""
     if values is None:
-        raise _Usage(f"--family {fam} needs --{flag}")
-    param = _FAMILIES[fam][0]
+        raise _Usage(f"--family {name} needs --{flag}")
+    param = FAMILIES[name].param
     for v in values:
         if param == "p":
             _check_positive(flag, v)
@@ -271,15 +236,15 @@ def _read_domain_arg(text: str) -> str:
 
 def _cmd_zeros(args) -> int:
     _check_positive("tol", args.tol)
-    param, _, report, predicate, value = _family(args.family, args)
-    rep = report(value, args)
+    fam, value = _family(args.family, args)
+    rep = fam.report(value, args.res, args.tol)
     zeroed = len(rep.zeros) > 0
     record = {"command": "zeros", "family": args.family}
-    if param is not None:
-        record[param] = value
+    if fam.param is not None:
+        record[fam.param] = value
     record.update(rep.to_json_dict())
     record["zeroed"] = zeroed
-    record["predicate_zeroed"] = predicate(value)
+    record["predicate_zeroed"] = fam.zeroed(value)
     _emit(_to_json(record) + "\n", args.out)
     certified = (rep.count_by_winding == len(rep.zeros)
                  and zeroed == record["predicate_zeroed"])
@@ -289,45 +254,10 @@ def _cmd_zeros(args) -> int:
 # ------------------------------------------------------------------- locus
 
 
-def _locus_rows(args):
-    """Rows (x, y, K) over the family's slice grid, row-major, deterministic."""
-    import numpy as np
-
-    fam = args.family
-    res = args.res
-    _, make, _, _, value = _family(fam, args)
-    if fam in ODD_QUOTIENTS:
-        slc = make(value)
-        side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
-        for re_t in side:
-            for im_t in side:
-                t = complex(re_t, im_t)
-                yield t, 0j, complex(slc.eval(t))
-        return
-    if fam == "axis2":
-        slc = make(value)
-        for y in np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res):
-            yield 0j, complex(y), complex(slc.eval(complex(y)))
-        return
-    if fam == "k2":
-        # signed radius grid; the admissibility filter keeps K2 off its poles
-        rmax = 1.0 - DEFAULT_SCAN_MARGIN
-        side = np.linspace(rmax / res, rmax, res)
-        vals = np.concatenate([-side[::-1], side])
-        root_vals = np.sqrt(np.abs(vals))
-        for x in vals:
-            ys = vals[np.sqrt(abs(x)) + root_vals < 1.0 - 1e-9]
-            if ys.size == 0:
-                continue
-            kvals = k2_values(np.full(ys.shape, x, dtype=complex),
-                              ys.astype(complex))
-            for y, k in zip(ys, kvals):
-                yield complex(x), complex(y), complex(k)
-
-
 def _cmd_locus(args) -> int:
+    fam, value = _family(args.family, args)
     lines = ["re_x,im_x,re_y,im_y,re_K,im_K,abs_K"]
-    for x, y, k in _locus_rows(args):
+    for x, y, k in fam.rows(value, args.res):
         lines.append(",".join(_fmt(v) for v in (
             x.real, x.imag, y.real, y.imag, k.real, k.imag, abs(k))))
     _emit("\n".join(lines) + "\n", args.out)
@@ -338,22 +268,16 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fam = args.family
-    if fam not in ODD_QUOTIENTS:
-        raise _Usage(f"sweep supports {', '.join(ODD_QUOTIENTS)}; got {fam!r}")
-    param, _, _, zeroed = _FAMILIES[fam]
-    status = {True: "zeroed", False: "zero-free"}
-    lines = []
-    if param == "p":
-        p1s = _family_values(fam, "p1", args.p1 and _parse_range(" ".join(args.p1), "p1"))
-        lines.append("p1,status")
-        for p1 in p1s:
-            lines.append(f"{_fmt(p1)},{status[zeroed(p1)]}")
-    else:
-        ns = _family_values(fam, "n", args.n and _parse_range(" ".join(args.n), "n"))
-        lines.append("n,status")
-        for n in ns:
-            lines.append(f"{int(n)},{status[zeroed(n)]}")
+    name = args.family
+    if name not in ODD_QUOTIENTS:
+        raise _Usage(f"sweep supports {', '.join(ODD_QUOTIENTS)}; got {name!r}")
+    fam = FAMILIES[name]
+    flag = "p1" if fam.param == "p" else "n"
+    grid = getattr(args, flag)
+    lines = [f"{flag},status"]
+    for v in _family_values(name, flag, grid and _parse_range(" ".join(grid), flag)):
+        label = _fmt(v) if fam.param == "p" else int(v)
+        lines.append(f"{label},{'zeroed' if fam.zeroed(v) else 'zero-free'}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -527,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 1..{MAX_RESOLUTION}")
+    p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 8..{MAX_RESOLUTION}")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="root tolerance of the k2 grid scan, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import NoConvergence, PreconditionViolated
 from .jets import Jet1, jet1_variable
@@ -77,7 +77,7 @@ class TwoVarSlice:
 
     eval_many: Callable
     description: str
-    restrict_x: Callable[[complex], SliceFunction] | None = None
+    restrict_x: Callable[[complex], SliceFunction]
 
 
 # m and scale, each at the family's parameter, of the families whose slice
@@ -272,7 +272,7 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     both of two mirrored cells that tie up to rounding seed), and keeps roots
     certified by |f| < tol.  For a TwoVarSlice: scans admissible pairing
     pairs and reports the grid minimum; candidate cells refine through the
-    slice's x-restriction when provided.
+    slice's x-restriction.
     """
     import numpy as np
 
@@ -334,16 +334,15 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
                                        for j in np.flatnonzero(row)[:8]]
 
     roots: list[tuple[complex, float]] = []
-    if slc.restrict_x is not None:
-        for x0, y0 in candidates:
-            try:
-                root = newton_refine(slc.restrict_x(y0), x0, tol=tol)
-            except NoConvergence:
-                continue
-            if all(abs(root - q) > 1e-8 for q, _ in roots):
-                res = float(np.abs(slc.eval_many(
-                    np.asarray([root]), np.asarray([y0])))[0])
-                roots.append((root, res))
+    for x0, y0 in candidates:
+        try:
+            root = newton_refine(slc.restrict_x(y0), x0, tol=tol)
+        except NoConvergence:
+            continue
+        if all(abs(root - q) > 1e-8 for q, _ in roots):
+            res = float(np.abs(slc.eval_many(
+                np.asarray([root]), np.asarray([y0])))[0])
+            roots.append((root, res))
     zeros = tuple(sorted((Zero(q, res) for q, res in roots),
                          key=lambda z: (z.location.real, z.location.imag)))
     return ZeroReport(
@@ -352,3 +351,75 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
         search_radius=rmax,
         method="newton",
         min_modulus=min_mod)
+
+
+# ----------------------------------------------------------------- families
+
+_LOCUS_SPAN = 0.95  # half-width of a one-variable slice's locus grid
+
+
+@dataclass(frozen=True)
+class Family:
+    """A slice family: its parameter ("p", "n" or None), its zero report at a
+    value, scan resolution and root tolerance, the closed-form threshold that
+    report is checked against (has zeros at a value), and its locus grid."""
+
+    param: str | None
+    report: Callable[[float | None, int, float], ZeroReport]
+    zeroed: Callable[[float | None], bool]
+    rows: Callable[[float | None, int], Iterator[tuple[complex, complex, complex]]]
+
+
+def _square_rows(slc: SliceFunction, res: int):
+    """(t, 0, f(t)) over the res x res grid of [-_LOCUS_SPAN, _LOCUS_SPAN]^2."""
+    import numpy as np
+
+    side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
+    for re_t in side:
+        for im_t in side:
+            t = complex(re_t, im_t)
+            yield t, 0j, complex(slc.eval(t))
+
+
+def _line_rows(slc: SliceFunction, res: int):
+    """(0, y, f(y)) over res real y in [-_LOCUS_SPAN, _LOCUS_SPAN]."""
+    import numpy as np
+
+    for y in np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res):
+        yield 0j, complex(y), complex(slc.eval(complex(y)))
+
+
+def _k2_rows(res: int):
+    """(x, y, K2) over signed radii, admissible pairs only (so off K2's poles)."""
+    import numpy as np
+
+    rmax = 1.0 - DEFAULT_SCAN_MARGIN
+    side = np.linspace(rmax / res, rmax, res)
+    vals = np.concatenate([-side[::-1], side])
+    root_vals = np.sqrt(np.abs(vals))
+    for x in vals:
+        ys = vals[np.sqrt(abs(x)) + root_vals < 1.0 - 1e-9]
+        kvals = k2_values(np.full(ys.shape, x, dtype=complex), ys.astype(complex))
+        for y, k in zip(ys, kvals):
+            yield complex(x), complex(y), complex(k)
+
+
+def _odd_family(name: str, param: str, make: Callable[[float], SliceFunction]) -> Family:
+    """Record of an odd-quotient family: closed-form zeros, present iff m > 4."""
+    m, scale = ODD_QUOTIENTS[name]
+    return Family(param, report=lambda v, res, tol: odd_quotient_zero_locus(m(v), scale(v)),
+                  zeroed=lambda v: m(v) > 4.0, rows=lambda v, res: _square_rows(make(v), res))
+
+
+# family name -> record, k2 without a parameter.  The records look this
+# module's names up when called, so a rebound attribute is seen
+FAMILIES = {
+    "axis1": _odd_family("axis1", "p", lambda p: axis1_slice(p)),
+    "axis2": Family("p", report=lambda p, res, tol: axis2_zero_locus(p),
+                    zeroed=lambda p: p > 2.0,
+                    rows=lambda p, res: _line_rows(axis2_slice(p), res)),
+    "simplex": _odd_family("simplex", "n", lambda n: simplex_slice(n)),
+    "mixed": _odd_family("mixed", "n", lambda n: mixed_slice(n)),
+    "k2": Family(None, report=lambda _, res, tol: grid_zero_scan(k2_pair_slice(), res, tol=tol),
+                 zeroed=lambda _: False, rows=lambda _, res: _k2_rows(res)),
+}

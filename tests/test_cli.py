@@ -11,8 +11,9 @@ import time
 import pytest
 
 from bergman import cli, errors
-from bergman.cli import _FAMILIES, _build_parser, main
-from bergman.zeros import odd_quotient_zero_locus
+from bergman import zeros as zeros_module
+from bergman.cli import _build_parser, main
+from bergman.zeros import FAMILIES, odd_quotient_zero_locus
 
 SQ3 = 1.0 / math.sqrt(3.0)
 D22 = '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2}]}'
@@ -221,7 +222,7 @@ def test_zeros_count_mismatch_exit_4(monkeypatch, capsys):
     def miscounted(m, scale):
         return dataclasses.replace(odd_quotient_zero_locus(m, scale), count_by_winding=0)
 
-    monkeypatch.setattr(cli, "odd_quotient_zero_locus", miscounted)
+    monkeypatch.setattr(zeros_module, "odd_quotient_zero_locus", miscounted)
     code, rec = run_json(capsys, ["zeros", "--family", "axis1", "--p", "4"])
     assert code == 4
     assert (len(rec["zeros"]), rec["winding_count"]) == (2, 0)
@@ -244,7 +245,7 @@ def test_zeros_odd_quotient_formula(capsys, family, n, m):
 
 def test_odd_quotient_predicate_is_paper_threshold():
     # m > 4 with m = p + 2, 2n and n + 1: p > 2, n >= 3 and n >= 4
-    zeroed = {fam: _FAMILIES[fam][3] for fam in ("axis1", "simplex", "mixed")}
+    zeroed = {fam: FAMILIES[fam].zeroed for fam in ("axis1", "simplex", "mixed")}
     for p in (k / 8.0 for k in range(1, 321)):
         assert zeroed["axis1"](p) == (p > 2.0), p
     for n in range(2, 101):

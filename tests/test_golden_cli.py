@@ -3,7 +3,9 @@
 ``golden_cli.json`` maps each argv to the bytes ``bergman.cli.main`` printed
 for it when the corpus was recorded.  A refactor that claims to keep the
 CLI's behaviour must reproduce every entry exactly.  To re-record after an
-intended output change, run ``PYTHONPATH=src python3 tests/test_golden_cli.py``.
+intended output change, run ``PYTHONPATH=src python3 tests/test_golden_cli.py
+I J ...`` with the indices of the affected entries (the NN of the test ids),
+or with no index to re-record them all.
 """
 
 import contextlib
@@ -41,7 +43,12 @@ def test_golden_cli(entry, monkeypatch):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
+    picked = [int(a) for a in sys.argv[1:]] or range(len(ENTRIES))
+    for i in picked:
+        if not 0 <= i < len(ENTRIES):
+            sys.exit(f"no golden entry {i}; indices run 0..{len(ENTRIES) - 1}")
+        ENTRIES[i] = run(ENTRIES[i]["argv"])
     with open(CORPUS, "w") as handle:
-        json.dump([run(e["argv"]) for e in ENTRIES], handle, indent=1)
+        json.dump(ENTRIES, handle, indent=1)
         handle.write("\n")
     sys.exit(0)

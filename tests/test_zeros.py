@@ -453,7 +453,7 @@ def _never(*_):
 
 @pytest.mark.parametrize("slc", [
     SliceFunction(eval=_never, description="slice"),
-    TwoVarSlice(eval_many=_never, description="k2"),
+    TwoVarSlice(eval_many=_never, description="k2", restrict_x=_never),
 ], ids=["slice", "k2"])
 def test_grid_scan_rejects_resolution_above_cap(slc):
     assert zeros_module.MAX_RESOLUTION == 256
