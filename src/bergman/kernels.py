@@ -470,7 +470,7 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
     """Kernel value at (z, w) by the closed form for the block structure.
 
     First match wins: one block (ball, whatever p is); (1, 2) + (m >= 2, 1)
-    (mixed_family); non-diagonal (n, 1) + (m, p) (pflate); diagonal (2, 2)
+    (mixed_family, in root coordinates sqrt(z1)); non-diagonal (n, 1) + (m, p) (pflate); diagonal (2, 2)
     (k2_closed), (2, p) or (p, 2) (slice_kp), (1, p) or (p, 1) (hartogs2),
     integer exponents but the last (folded), else the series oracle.  Other
     structures raise UnsupportedDomain.
@@ -481,7 +481,9 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
         return ball_kernel(blocks[0].dim, z, w)
     if (len(blocks) == 2 and blocks[0].dim == 1 and blocks[0].p == 2.0
             and blocks[1].p == 1.0 and blocks[1].dim >= 2):
-        return mixed_family_kernel(d.total_dim, z, w)
+        # K is even in the root coordinate, so either square root serves
+        return mixed_family_kernel(d.total_dim, (cmath.sqrt(z[0]),) + tuple(z[1:]),
+                                   (cmath.sqrt(w[0]),) + tuple(w[1:]))
     if len(blocks) == 2 and blocks[0].p == 1.0 and not d.is_diagonal:
         n, m, p = blocks[0].dim, blocks[1].dim, blocks[1].p
         return pflate_kernel(n, m, p, z[:n], z[n:], w[:n], w[n:])

@@ -37,6 +37,7 @@ from bergman.kernels import (
     slice_kernel_kp,
     slice_kp_values,
 )
+from bergman.oracle import series_kernel
 
 from _oracles import jet_fpp, simplex_restricted_kernel
 
@@ -602,14 +603,15 @@ ROUTES = [
     (DomainSpec((Block(2, 1.0),)), (0.1 + 0.2j, 0.3), (0.2, -0.1j), "ball",
      lambda z, w: ball_kernel(2, z, w)),
     (DomainSpec((Block(1, 2.0), Block(2, 1.0))), (0.3, 0.2, 0.1j), (0.2j, 0.1, 0.3),
-     "mixed_family", lambda z, w: mixed_family_kernel(3, z, w)),
+     "mixed_family", lambda z, w: mixed_family_kernel(
+         3, (cmath.sqrt(z[0]),) + z[1:], (cmath.sqrt(w[0]),) + w[1:])),
     (DomainSpec((Block(2, 1.0), Block(1, 2.5))), (0.2, 0.1j, 0.3), (0.1, 0.2, -0.2j),
      "pflate", lambda z, w: pflate_kernel(2, 1, 2.5, z[:2], z[2:], w[:2], w[2:])),
     (diagonal_domain(2.0, 2.0), (0.3 + 0.1j, 0.2), (0.1, 0.4j), "k2_closed",
      lambda z, w: k2_closed_form(z[0] * w[0].conjugate(), z[1] * w[1].conjugate())),
-    (diagonal_domain(2.0, 4.5), (0.3, 0.2 - 0.2j), (0.1, 0.4j), "slice_kp",
+    (diagonal_domain(2.0, 4.5), (0.25, 0.1 - 0.1j), (0.1, 0.3j), "slice_kp",
      lambda z, w: slice_kernel_kp(4.5, z[0] * w[0].conjugate(), z[1] * w[1].conjugate())),
-    (diagonal_domain(4.5, 2.0), (0.2 - 0.2j, 0.3), (0.4j, 0.1), "slice_kp",
+    (diagonal_domain(4.5, 2.0), (0.1 - 0.1j, 0.25), (0.3j, 0.1), "slice_kp",
      lambda z, w: slice_kernel_kp(4.5, z[1] * w[1].conjugate(), z[0] * w[0].conjugate())),
     (diagonal_domain(1.0, 3.5), (0.3, 0.2j), (0.1j, 0.25), "hartogs2",
      lambda z, w: hartogs2_kernel(3.5, z[0], z[1], w[0], w[1])),
@@ -629,6 +631,10 @@ def test_evaluate_routes(d, z, w, tag, direct):
     assert kv.formula == tag
     if direct is not None:
         assert kv == direct(z, w)
+    # the same domain as one-coordinate blocks: a block (m, 1) is m blocks (1, 1)
+    diagonal = diagonal_domain(*(b.p for b in d.blocks for _ in range(b.dim)))
+    want = series_kernel(diagonal, z, w).value
+    assert abs(kv.value - want) <= 1e-8 * abs(want)
 
 
 def test_evaluate_rejects_unsupported_structure():
