@@ -470,10 +470,10 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
     """Kernel value at (z, w) by the closed form for the block structure.
 
     First match wins: one block (ball, whatever p is); (1, 2) + (m >= 2, 1)
-    (mixed_family, in root coordinates sqrt(z1)); non-diagonal (n, 1) + (m, p) (pflate); diagonal (2, 2)
-    (k2_closed), (2, p) or (p, 2) (slice_kp), (1, p) or (p, 1) (hartogs2),
-    integer exponents but the last (folded), else the series oracle.  Other
-    structures raise UnsupportedDomain.
+    (mixed_family, at the root coordinate sqrt(z1)); non-diagonal (n, 1) +
+    (m, p) (pflate); diagonal (2, 2) (k2_closed), (2, p) or (p, 2)
+    (slice_kp), (1, p) or (p, 1) (hartogs2), integer exponents but the last
+    (folded), else the series oracle.  Other structures raise UnsupportedDomain.
     """
     blocks = d.blocks
     ps = d.exponents()
