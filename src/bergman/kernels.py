@@ -194,12 +194,11 @@ def inflate(L: CircularKernelProfile, m: int):
 
 
 def ball_kernel(m: int, Z: Sequence[complex], W: Sequence[complex]) -> KernelValue:
-    """Unit-ball kernel in C^m: m!/pi^m (1 - <Z,W>)^-(m+1), via inflating the disc."""
+    """Unit-ball kernel in C^m: m!/pi^m (1 - <Z,W>)^-(m+1), the disc kernel inflated."""
     for pt in (Z, W):
         if not sum(abs(c) ** 2 for c in pt) < 1.0:
             raise OutsideDomain("point outside the unit ball")
-    inner = inflate(disc_profile(), m)((), Z, (), W)
-    return KernelValue(inner.value, "ball")
+    return KernelValue(ball_kernel_values(m, pairing(Z, W)), "ball")
 
 
 def hartogs2_kernel(p: float, z: complex, zeta: complex,

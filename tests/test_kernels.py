@@ -190,6 +190,23 @@ def test_ball_kernel_closed_form():
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_ball_kernel_is_ball_kernel_values():
+    # one formula: the scalar route returns the vectorized one's bits, and both
+    # agree with a 50-digit evaluation of m!/pi^m (1 - <Z,W>)^-(m+1)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            Z, W = rand_ball(rng, m), rand_ball(rng, m)
+            got = ball_kernel(m, Z, W).value
+            want = ball_kernel_values(m, pairing(Z, W))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            with mp.workdps(50):
+                t = mp.fsum(mp.mpc(a) * mp.conj(mp.mpc(b)) for a, b in zip(Z, W))
+                exact = mp.factorial(m) / mp.pi ** m * (1 - t) ** -(m + 1)
+                assert abs(got - exact) <= 1e-15 * abs(exact)
+
+
 def test_ball_kernel_rejects_outside_points():
     with pytest.raises(OutsideDomain):
         ball_kernel(2, (0.8, 0.7), (0.1, 0.0))
@@ -507,6 +524,7 @@ def test_closed_forms_refuse_nan(call):
 
 # (id, closed-form call, whether it takes the small-argument branch)
 CLOSED_FORMS = [
+    ("ball", lambda: ball_kernel(2, (0.1, 0.2), (0.2j, 0.1)), False),
     ("k2", lambda: k2_closed_form(0.1 + 0.2j, -0.05), False),
     ("slice_kp", lambda: slice_kernel_kp(3.5, 0.1 + 0.2j, -0.05), False),
     ("slice_kp-limit", lambda: slice_kernel_kp(3.5, 1e-8j, -0.05), True),
@@ -540,7 +558,7 @@ def test_closed_forms_build_no_jet_objects(call, limit, monkeypatch):
     kv = call()
     assert kv.near_singular_limit == limit and math.isfinite(abs(kv.value))
     assert not built
-    assert ball_kernel(2, (0.1, 0.2), (0.2j, 0.1)) and built  # the counter counts
+    assert inflate(disc_profile(), 2)((), (0.1, 0.2), (), (0.2j, 0.1)) and built  # it counts
 
 
 # -------------------------------------------------------------- vectorized
