@@ -235,9 +235,8 @@ def _read_domain_arg(text: str) -> str:
 
 
 def _cmd_zeros(args) -> int:
-    _check_positive("tol", args.tol)
     fam, value = _family(args.family, args)
-    rep = fam.report(value, args.res, args.tol)
+    rep = fam.report(value, args.res)
     zeroed = len(rep.zeros) > 0
     record = {"command": "zeros", "family": args.family}
     if fam.param is not None:
@@ -452,8 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--res", type=int, default=48, help=f"k2 scan grid, 8..{MAX_RESOLUTION}")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="root tolerance of the k2 grid scan, finite and > 0")
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     p = sub.add_parser("locus", help="emit |K| over a slice grid as CSV")

@@ -361,11 +361,11 @@ _LOCUS_SPAN = 0.95  # half-width of a one-variable slice's locus grid
 @dataclass(frozen=True)
 class Family:
     """A slice family: its parameter ("p", "n" or None), its zero report at a
-    value, scan resolution and root tolerance, the closed-form threshold that
-    report is checked against (has zeros at a value), and its locus grid."""
+    value and scan resolution, the closed-form threshold that report is
+    checked against (has zeros at a value), and its locus grid."""
 
     param: str | None
-    report: Callable[[float | None, int, float], ZeroReport]
+    report: Callable[[float | None, int], ZeroReport]
     zeroed: Callable[[float | None], bool]
     rows: Callable[[float | None, int], Iterator[tuple[complex, complex, complex]]]
 
@@ -407,7 +407,7 @@ def _k2_rows(res: int):
 def _odd_family(name: str, param: str, make: Callable[[float], SliceFunction]) -> Family:
     """Record of an odd-quotient family: closed-form zeros, present iff m > 4."""
     m, scale = ODD_QUOTIENTS[name]
-    return Family(param, report=lambda v, res, tol: odd_quotient_zero_locus(m(v), scale(v)),
+    return Family(param, report=lambda v, res: odd_quotient_zero_locus(m(v), scale(v)),
                   zeroed=lambda v: m(v) > 4.0, rows=lambda v, res: _square_rows(make(v), res))
 
 
@@ -415,11 +415,11 @@ def _odd_family(name: str, param: str, make: Callable[[float], SliceFunction]) -
 # module's names up when called, so a rebound attribute is seen
 FAMILIES = {
     "axis1": _odd_family("axis1", "p", lambda p: axis1_slice(p)),
-    "axis2": Family("p", report=lambda p, res, tol: axis2_zero_locus(p),
+    "axis2": Family("p", report=lambda p, res: axis2_zero_locus(p),
                     zeroed=lambda p: p > 2.0,
                     rows=lambda p, res: _line_rows(axis2_slice(p), res)),
     "simplex": _odd_family("simplex", "n", lambda n: simplex_slice(n)),
     "mixed": _odd_family("mixed", "n", lambda n: mixed_slice(n)),
-    "k2": Family(None, report=lambda _, res, tol: grid_zero_scan(k2_pair_slice(), res, tol=tol),
+    "k2": Family(None, report=lambda _, res: grid_zero_scan(k2_pair_slice(), res),
                  zeroed=lambda _: False, rows=lambda _, res: _k2_rows(res)),
 }
