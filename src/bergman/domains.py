@@ -133,8 +133,8 @@ def phi(d: DomainSpec, z: Sequence[complex]) -> float:
     return total
 
 
-def contains(d: DomainSpec, z: Sequence[complex], margin: float = 0.0) -> bool:
-    return phi(d, z) < 1.0 - margin
+def contains(d: DomainSpec, z: Sequence[complex]) -> bool:
+    return phi(d, z) < 1.0
 
 
 def log_norm_table(d: DomainSpec) -> Callable[[Sequence[int]], float]:

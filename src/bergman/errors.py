@@ -38,7 +38,7 @@ class UnsupportedDomain(BergmanError):
 
 
 class OutsideDomain(BergmanError):
-    """Evaluation point does not satisfy the domain inequality (with margin)."""
+    """Evaluation point does not satisfy the domain inequality."""
 
 
 class InvalidOrder(BergmanError):

@@ -94,7 +94,6 @@ def test_contains_examples():
     # 0.5 + sqrt(0.2) ~ 0.947 < 1
     assert contains(mixed, (0.5, 0.2))
     assert phi(mixed, (0.5, 0.2)) == pytest.approx(0.5 + math.sqrt(0.2))
-    assert not contains(mixed, (0.5, 0.2), margin=0.1)
 
 
 def test_contains_dimension_mismatch():
