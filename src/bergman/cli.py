@@ -199,6 +199,8 @@ def _cmd_eval(args) -> int:
         if not contains(d, pt):
             raise OutsideDomain(f"--{label} point lies outside the domain")
     kv = evaluate(d, z, w)
+    if not math.isfinite(abs(kv.value)):
+        raise OverflowError(f"|K| = {abs(kv.value)} is not finite")
     record = {
         "command": "eval",
         "domain": {"blocks": [{"dim": b.dim, "p": b.p} for b in d.blocks]},
@@ -259,6 +261,8 @@ def _cmd_locus(args) -> int:
     for x, y, k in fam.rows(value, args.res):
         lines.append(",".join(_fmt(v) for v in (
             x.real, x.imag, y.real, y.imag, k.real, k.imag, abs(k))))
+    if len(lines) == 1:
+        raise _Usage(f"--res {args.res} leaves the {args.family} locus grid empty")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from .jets import (
     Jet1,
     _div1,
     _factorial_times,
+    _near_zero,
     _rpow1,
     derivative_extract,
     jet1_const,
@@ -37,8 +38,8 @@ from .jets import (
     jet_rpow,
 )
 
-# Below this modulus of the folded (root) variable the direct formula loses
-# about |x|^-1 digits to cancellation and the odd-jet limit branch takes over.
+# Below this modulus of what a fold divides by (the pairing in general_folded_kernel, its
+# root in the p = 2 folds) the direct form loses a factor |x|^-1; a limit branch takes over.
 EPS_SWITCH = 1e-3
 
 
@@ -114,9 +115,12 @@ def _hartogs_fpp(p: float, s, y):
 
 def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int) -> list[complex]:
     """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
-    b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits."""
+    b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits.
+    An interior b_0 reads 0 only where (1-tau)^p underflows, so K overflows there."""
     b = _rpow1([(1 + 0j) - complex(tau), -1 + 0j] + [0j] * (order - 1), p)
     b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
+    if _near_zero(b[0]):
+        raise OverflowError(f"(1 - tau)^p underflows to 0 at p = {p}, tau = {tau}")
     g = [1 + 0j] + [0j] * order
     for _ in range(m):
         g = _div1(g, b)

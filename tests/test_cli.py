@@ -527,6 +527,24 @@ BAD_INPUTS = [
      ["eval", "--domain", '{"blocks":[{"dim":2,"p":1},{"dim":1,"p":1e5}]}',
       "--z", "0.2,0,0", "--w", "-0.2,0,0"], 2,
      "error: floating-point overflow (complex exponentiation)"),
+    # (1 - tau)^p underflows to 0 on the hartogs2, pflate and folded jet routes
+    ("interior-underflow-hartogs2-huge-p",
+     ["eval", "--domain", '{"blocks":[{"dim":1,"p":1},{"dim":1,"p":1000}]}',
+      "--z", "0.8,0"], 2, "error: floating-point overflow ((1 - tau)^p underflows"),
+    ("interior-underflow-pflate-huge-p",
+     ["eval", "--domain", '{"blocks":[{"dim":2,"p":1},{"dim":1,"p":1000}]}',
+      "--z", "0.8,0,0"], 2, "error: floating-point overflow ((1 - tau)^p underflows"),
+    ("interior-underflow-folded-huge-p",
+     ["eval", "--domain",
+      '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":1000}]}',
+      "--z", "0.8,0.01,0"], 2, "error: floating-point overflow ((1 - tau)^p underflows"),
+    # pflate's (n+m)! read-off overflows at the origin, and so does the ball's m!
+    ("pflate-100-100-origin",
+     ["eval", "--domain", '{"blocks":[{"dim":100,"p":1},{"dim":100,"p":1.5}]}',
+      "--z", ",".join(["0"] * 200)], 2, "error: floating-point overflow"),
+    ("ball-171-origin",
+     ["eval", "--domain", '{"blocks":[{"dim":171,"p":1}]}', "--z", ",".join(["0"] * 171)],
+     2, "error: floating-point overflow"),
     ("huge-int-p", ["eval", "--domain", '{"blocks":[{"dim":1,"p":1%s}]}' % ("0" * 400),
                     "--z", "0"], 2),
     ("zeros-overflow-p", ["zeros", "--family", "axis1", "--p", "1e6"], 2),
@@ -538,6 +556,11 @@ BAD_INPUTS = [
      "error: winding sum is not finite"),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
     ("zeros-k2-res-cap", ["zeros", "--family", "k2", "--res", "100000"], 2),
+    # below res 4 no signed-radius pair of the k2 grid is admissible
+    ("locus-k2-res1", ["locus", "--family", "k2", "--res", "1"], 2,
+     "error: --res 1 leaves the k2 locus grid empty"),
+    ("locus-k2-res2", ["locus", "--family", "k2", "--res", "2"], 2),
+    ("locus-k2-res3", ["locus", "--family", "k2", "--res", "3"], 2),
     ("locus-k2-res-cap", ["locus", "--family", "k2", "--res", "100000000"], 2),
     ("eval-nan-tol", ["eval", "--domain", D22, "--z", "0.1,0.2", "--tol", "nan"], 2),
     # zeros reads no --tol, so argparse refuses it (its usage line comes first)
