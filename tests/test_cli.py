@@ -639,7 +639,6 @@ UNREAD = [
     ("locus-format-json", ["locus", "--family", "axis2", "--p", "3", "--format", "json"]),
     ("eval-format-csv", ["eval", "--domain", D22, "--z", "0.1,0.2", "--format", "csv"]),
     ("eval-seed", ["eval", "--domain", D22, "--z", "0.1,0.2", "--seed", "1"]),
-    ("zeros-tol", ["zeros", "--family", "k2", "--res", "16", "--tol", "0.05"]),
     ("locus-tol", ["locus", "--family", "axis2", "--p", "3", "--tol", "1"]),
     ("verify-tol", ["verify", "--suite", "origin-values", "--tol", "1"]),
 ]
