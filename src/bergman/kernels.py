@@ -198,7 +198,7 @@ def inflate(L: CircularKernelProfile, m: int):
 
 
 def ball_kernel(m: int, Z: Sequence[complex], W: Sequence[complex]) -> KernelValue:
-    """Unit-ball kernel in C^m: m!/pi^m (1 - <Z,W>)^-(m+1), the disc kernel inflated."""
+    """Unit-ball kernel in C^m: m!/pi^m (1 - <Z,W>)^-(m+1)."""
     for pt in (Z, W):
         if not sum(abs(c) ** 2 for c in pt) < 1.0:
             raise OutsideDomain("point outside the unit ball")
