@@ -476,8 +476,19 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
     (mixed_family, at the root coordinate sqrt(z1)); non-diagonal (n, 1) +
     (m, p) (pflate); diagonal (2, 2) (k2_closed), (2, p) or (p, 2)
     (slice_kp), (1, p) or (p, 1) (hartogs2), integer exponents but the last
-    (folded), else the series oracle.  Other structures raise UnsupportedDomain.
+    (folded), else the series oracle.  Other structures raise UnsupportedDomain,
+    a point outside d OutsideDomain, and a non-finite value OverflowError.
     """
+    for label, pt in (("z", z), ("w", w)):
+        if not contains(d, pt):
+            raise OutsideDomain(f"{label} = {list(pt)} lies outside the domain")
+    kv = _route(d, z, w)
+    if not math.isfinite(abs(kv.value)):
+        raise OverflowError(f"|K| = {abs(kv.value)} is not finite")
+    return kv
+
+
+def _route(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> KernelValue:
     blocks = d.blocks
     ps = d.exponents()
     if len(blocks) == 1:

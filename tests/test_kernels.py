@@ -659,3 +659,21 @@ def test_evaluate_rejects_unsupported_structure():
     d = DomainSpec((Block(2, 2.0), Block(1, 3.0)))
     with pytest.raises(UnsupportedDomain):
         evaluate(d, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1))
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0], ids=["k2", "slice-2-4"])
+def test_evaluate_refuses_a_point_outside_the_domain(p):
+    # the pairing 0.0015 is reachable from inside, so only a point check sees z
+    d = diagonal_domain(2.0, p)
+    with pytest.raises(OutsideDomain, match=r"^z = \[\(1\.5\+0j\), 0j\] lies outside"):
+        evaluate(d, (1.5 + 0j, 0j), (0.001 + 0j, 0j))
+    with pytest.raises(OutsideDomain, match=r"^w = "):
+        evaluate(d, (0.001 + 0j, 0j), (1.5 + 0j, 0j))
+
+
+def test_evaluate_refuses_a_non_finite_value():
+    # pflate's factorial read-off overflows, and inf * 0j makes the value nan
+    d = DomainSpec((Block(100, 1.0), Block(100, 1.5)))
+    origin = (0j,) * 200
+    with pytest.raises(OverflowError, match=r"^\|K\| = nan is not finite$"):
+        evaluate(d, origin, origin)
