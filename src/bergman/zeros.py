@@ -73,7 +73,8 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """Two-variable slice whose eval_many broadcasts a column of x against a row of y."""
+    """Two-variable slice: eval_many broadcasts a column of x against a row of y,
+    restrict_x(y0) is the slice in x at y0 (grid_zero_scan calls eval_many only)."""
 
     eval_many: Callable
     description: str
@@ -120,7 +121,7 @@ def simplex_slice(n: int) -> SliceFunction:
 
 
 def k2_pair_slice() -> TwoVarSlice:
-    """K2 over both slice pairings, scannable on the admissible region."""
+    """K2 over both slice pairings, for grid_zero_scan's minimum-modulus scan."""
 
     def restrict(y0: complex) -> SliceFunction:
         return SliceFunction(eval=lambda x: k2_values(x, y0),
@@ -264,15 +265,15 @@ def k2_interior_positivity(x: complex, y: complex) -> bool:
 
 
 def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
-    """Polar-grid modulus scan with Newton refinement of local minima.
+    """Grid modulus scan.
 
     For a SliceFunction: takes |f| on the polar grid of |t| <= 1 -
     DEFAULT_SCAN_MARGIN from one order-1 array jet, refines every cell below
     tol or no larger than its radial and angular neighbours (non-strict, so
-    both of two mirrored cells that tie up to rounding seed), and keeps roots
-    certified by |f| < tol.  For a TwoVarSlice: scans admissible pairing
-    pairs and reports the grid minimum; candidate cells refine through the
-    slice's x-restriction.
+    both of two mirrored cells that tie up to rounding seed) by Newton, and
+    keeps roots certified by |f| < tol.  For a TwoVarSlice: takes |f| over
+    the admissible pairing pairs and reports the grid minimum and no zeros
+    (method "grid"); a minimum below tol raises PreconditionViolated.
     """
     import numpy as np
 
@@ -307,16 +308,13 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
 
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
     side = np.linspace(rmax / resolution, rmax, resolution)
-    ang = 2.0 * math.pi * np.arange(resolution) / resolution
-    phase = np.exp(1j * ang)
+    phase = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
     y_flat = (side[:, None] * phase[None, :]).ravel()
     root_y = np.sqrt(np.abs(y_flat))
     min_mod = math.inf
-    candidates: list[tuple[complex, complex]] = []
     # one radius of the first pairing at a time: which ys are admissible
     # depends on |x0| = rx alone.  eval_many takes a column of first pairings
-    # against the row of those ys, as many as fit in _BLOCK points per call;
-    # candidates come one x0 at a time, at most 8 per x0
+    # against the row of those ys, as many as fit in _BLOCK points per call
     for rx in side:
         ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
         if ys.size == 0:
@@ -325,32 +323,13 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
         step = max(1, _BLOCK // ys.size)
         for k in range(0, resolution, step):
             vals = np.abs(slc.eval_many(xs[k:k + step, None], ys[None, :]))
-            lo = float(vals.min())
-            min_mod = min(min_mod, lo)
-            if lo < tol:
-                for i, row in enumerate(vals < tol):
-                    if len(candidates) < 64:
-                        candidates += [(complex(xs[k + i]), complex(ys[j]))
-                                       for j in np.flatnonzero(row)[:8]]
-
-    roots: list[tuple[complex, float]] = []
-    for x0, y0 in candidates:
-        try:
-            root = newton_refine(slc.restrict_x(y0), x0, tol=tol)
-        except NoConvergence:
-            continue
-        if all(abs(root - q) > 1e-8 for q, _ in roots):
-            res = float(np.abs(slc.eval_many(
-                np.asarray([root]), np.asarray([y0])))[0])
-            roots.append((root, res))
-    zeros = tuple(sorted((Zero(q, res) for q, res in roots),
-                         key=lambda z: (z.location.real, z.location.imag)))
-    return ZeroReport(
-        zeros=zeros,
-        count_by_winding=len(zeros),
-        search_radius=rmax,
-        method="newton",
-        min_modulus=min_mod)
+            min_mod = min(min_mod, float(vals.min()))
+    if min_mod < tol:
+        raise PreconditionViolated(
+            f"grid minimum |f| = {min_mod!r} of the {slc.description} lies below "
+            f"tol = {tol!r}: a grid cell is not a zero, so the scan lists none")
+    return ZeroReport(zeros=(), count_by_winding=0, search_radius=rmax,
+                      method="grid", min_modulus=min_mod)
 
 
 # ----------------------------------------------------------------- families

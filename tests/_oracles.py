@@ -244,14 +244,9 @@ def polar_scan_reference(slc, resolution, tol=1e-9):
     return roots, min(min(row) for row in mods)
 
 
-def k2_scan_reference(slc, resolution, tol=1e-9):
-    """(zeros, min_modulus, candidates) of the two-variable scan, one first
-    pairing per eval_many call: zeros as sorted (location, residual) pairs,
-    candidates as the (x0, y0) cells refined, in order.
-
-    Candidates in first-pairing order, up to 8 per first pairing, added
-    while fewer than 64 are held; each refined in x through restrict_x.
-    """
+def k2_scan_reference(slc, resolution):
+    """min_modulus of the two-variable scan, one first pairing per eval_many
+    call, over the same admissible grid and in the same order."""
     import numpy as np
 
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
@@ -260,29 +255,13 @@ def k2_scan_reference(slc, resolution, tol=1e-9):
     y_flat = (side[:, None] * phase[None, :]).ravel()
     root_y = np.sqrt(np.abs(y_flat))
     min_mod = math.inf
-    candidates = []
     for rx in side:
         ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
         if ys.size == 0:
             continue
         for x0 in rx * phase:
-            vals = np.abs(slc.eval_many(x0, ys))
-            lo = float(vals.min())
-            min_mod = min(min_mod, lo)
-            if lo < tol and len(candidates) < 64:
-                for j in np.flatnonzero(vals < tol)[:8]:
-                    candidates.append((x0, complex(ys[j])))
-    roots = []
-    for x0, y0 in candidates:
-        try:
-            root = newton_refine(slc.restrict_x(y0), x0, tol=tol)
-        except NoConvergence:
-            continue
-        if all(abs(root - q) > 1e-8 for q, _ in roots):
-            res = np.abs(slc.eval_many(np.asarray([root]), np.asarray([y0])))
-            roots.append((root, float(res[0])))
-    roots.sort(key=lambda z: (z[0].real, z[0].imag))
-    return roots, min_mod, [(complex(x0), y0) for x0, y0 in candidates]
+            min_mod = min(min_mod, float(np.abs(slc.eval_many(x0, ys)).min()))
+    return min_mod
 
 
 # ------------------------------------------- Jet1-object references, dense

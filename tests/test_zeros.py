@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -462,24 +463,36 @@ def test_grid_scan_rejects_resolution_above_cap(slc):
 
 
 @pytest.mark.parametrize("res", [8, 12, 48, 50])
-@pytest.mark.parametrize("tol", [1e-9, 0.05])
-def test_k2_scan_matches_per_pairing_reference(res, tol, monkeypatch):
-    # one eval_many call per block of first pairings gives the candidates,
-    # the zeros and the bits of min_modulus of one call per first pairing
-    seeds = []
-
-    def refine(f, seed, tol):
-        seeds.append((seed, f.description))
-        return newton_refine(f, seed, tol=tol)
-
-    monkeypatch.setattr(zeros_module, "newton_refine", refine)
+@pytest.mark.parametrize("tol", [1e-9])
+def test_k2_scan_matches_per_pairing_reference(res, tol):
+    # one eval_many call per block of first pairings gives the bits of
+    # min_modulus of one call per first pairing
     rep = grid_zero_scan(k2_pair_slice(), res, tol=tol)
-    want, want_min, cells = k2_scan_reference(k2_pair_slice(), res, tol)
-    assert seeds == [(x0, f"k2 at second pairing {y0}") for x0, y0 in cells]
-    assert [(z.location, z.residual) for z in rep.zeros] == want
-    assert rep.min_modulus.hex() == want_min.hex()
-    if (res, tol) == (48, 0.05):
-        assert len(rep.zeros) == 8  # the 64-candidate and 8-per-pairing caps bite
+    assert rep.min_modulus.hex() == k2_scan_reference(k2_pair_slice(), res).hex()
+
+
+def _no_restriction(y0):
+    raise AssertionError(f"the k2 scan restricted to y = {y0}")
+
+
+@pytest.mark.parametrize("res", [8, 48])
+def test_k2_scan_reads_eval_many_only(res):
+    k2 = k2_pair_slice()
+    slc = TwoVarSlice(eval_many=k2.eval_many, description=k2.description,
+                      restrict_x=_no_restriction)
+    rep = grid_zero_scan(slc, res)
+    assert rep == ZeroReport(zeros=(), count_by_winding=0, search_radius=0.88,
+                             method="grid", min_modulus=rep.min_modulus)
+    assert rep.min_modulus.hex() == grid_zero_scan(k2, res).min_modulus.hex()
+
+
+@pytest.mark.parametrize("res", [16, 48])
+def test_k2_scan_refuses_tol_above_its_minimum(res):
+    # a grid cell below tol is no zero: the scan names the minimum and lists nothing
+    floor = grid_zero_scan(k2_pair_slice(), res).min_modulus
+    assert floor < 0.05
+    with pytest.raises(PreconditionViolated, match=re.escape(f"|f| = {floor!r} ")):
+        grid_zero_scan(k2_pair_slice(), res, tol=0.05)
 
 
 @pytest.fixture
