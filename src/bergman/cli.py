@@ -44,7 +44,7 @@ EXIT_OUTSIDE = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 
-# most values one sweep grid may hold; each one costs a full zero scan
+# most values one sweep grid may hold; each is one closed-form threshold test
 _MAX_GRID = 1000
 
 

@@ -99,11 +99,10 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
         if phi(d, pt) > 0.7:
             raise PreconditionViolated(
                 f"series oracle wants phi <= 0.7, got {phi(d, pt):.4f}")
-    top = min(cfg.max_degree, cfg.hard_cap)
     acc = 0j
     peak = 0.0
     quiet = 0
-    for deg, inc in _degree_increments(d, z, w, top):
+    for deg, inc in _degree_increments(d, z, w, cfg.max_degree):
         acc += inc
         peak = max(peak, abs(acc))
         quiet = quiet + 1 if abs(inc) < cfg.stop_rel * peak else 0
@@ -113,7 +112,7 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
         # only the constant term exists; the series is exact
         return KernelValue(acc, "series_oracle")
     raise NoConvergence(
-        f"series did not settle by degree {top} (phi too close to 1?)")
+        f"series did not settle by degree {cfg.max_degree} (phi too close to 1?)")
 
 
 def _phi_many(d: DomainSpec, sq: np.ndarray) -> np.ndarray:
