@@ -1,6 +1,13 @@
 import os
 import sys
 
+from hypothesis import settings
+
+# derandomized, so each run draws the same examples; no deadline, since a
+# series-oracle evaluation is slow by design
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
+
 # pyproject's pytest ``pythonpath`` reaches this process only; the tests that
 # start ``python -m bergman`` need the source tree on PYTHONPATH as well
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
