@@ -472,56 +472,51 @@ def _odd_limit(c, t):
 def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> KernelValue:
     """Kernel value at (z, w) by the closed form for the block structure.
 
-    First match wins: one block (ball, whatever p is); (1, 2) + (m >= 2, 1)
-    (mixed_family, at the root coordinate sqrt(z1)); non-diagonal (n, 1) +
-    (m, p) (pflate); diagonal (2, 2) (k2_closed), (2, p) or (p, 2)
-    (slice_kp), (1, p) or (p, 1) (hartogs2), integer exponents but the last
-    (folded), else the series oracle.  Other structures raise UnsupportedDomain,
-    a point outside d OutsideDomain, and a non-finite value OverflowError.
+    The blocks are sorted stably, z and w with them: p = 1, p = 2, other integer
+    p, then the rest by p.  With n the p = 1 coordinates: one block or no other is
+    the ball, one other (1, 2) mixed_family, any other one (m, p) pflate; else, all
+    one-dimensional, (2, 2) or (2, p) alone k2_closed or slice_kp, integer p but
+    the last folded, else the series oracle; else UnsupportedDomain.  A point
+    outside d raises OutsideDomain, and a non-finite value OverflowError.
     """
     for label, pt in (("z", z), ("w", w)):
         if not contains(d, pt):
             raise OutsideDomain(f"{label} = {list(pt)} lies outside the domain")
-    kv = _route(d, z, w)
+    # float(p): an int p has no is_integer before Python 3.12
+    rank = [(0 if p == 1 else 1 if p == 2 else 2 if p.is_integer() else 3, p)
+            for p in (float(b.p) for b in d.blocks)]
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    starts = list(itertools.accumulate((b.dim for b in d.blocks), initial=0))
+    idx = [k for j in order for k in range(starts[j], starts[j + 1])]
+    z, w = (tuple(pt[k] for k in idx) for pt in (z, w))
+    kv = _route(tuple(d.blocks[j] for j in order), z, w)
     if not math.isfinite(abs(kv.value)):
         raise OverflowError(f"|K| = {abs(kv.value)} is not finite")
     return kv
 
 
-def _route(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> KernelValue:
-    blocks = d.blocks
-    ps = d.exponents()
-    if len(blocks) == 1:
-        return ball_kernel(blocks[0].dim, z, w)
-    if (len(blocks) == 2 and blocks[0].dim == 1 and blocks[0].p == 2.0
-            and blocks[1].p == 1.0 and blocks[1].dim >= 2):
+def _route(blocks: tuple[Block, ...], z: tuple, w: tuple) -> KernelValue:
+    n = sum(b.dim for b in blocks if b.p == 1)
+    rest = [b for b in blocks if b.p != 1]
+    if len(blocks) == 1 or not rest:
+        return ball_kernel(len(z), z, w)
+    if rest == [Block(1, 2.0)]:
         # K is even in the root coordinate, so either square root serves
-        return mixed_family_kernel(d.total_dim, (cmath.sqrt(z[0]),) + tuple(z[1:]),
-                                   (cmath.sqrt(w[0]),) + tuple(w[1:]))
-    if len(blocks) == 2 and blocks[0].p == 1.0 and not d.is_diagonal:
-        n, m, p = blocks[0].dim, blocks[1].dim, blocks[1].p
-        return pflate_kernel(n, m, p, z[:n], z[n:], w[:n], w[n:])
-    if not d.is_diagonal:
+        return mixed_family_kernel(n + 1, (cmath.sqrt(z[n]),) + z[:n],
+                                   (cmath.sqrt(w[n]),) + w[:n])
+    if len(rest) == 1:
+        return pflate_kernel(n, rest[0].dim, rest[0].p, z[:n], z[n:], w[:n], w[n:])
+    if any(b.dim > 1 for b in rest):
         raise UnsupportedDomain("no evaluator for this block structure")
-    if len(ps) == 2:
-        x = z[0] * w[0].conjugate()
-        y = z[1] * w[1].conjugate()
-        if ps == (2.0, 2.0):
-            return k2_closed_form(x, y)
-        if ps[0] == 2.0:
-            return slice_kernel_kp(ps[1], x, y)
-        if ps[1] == 2.0:
-            return slice_kernel_kp(ps[0], y, x)
-        if ps[0] == 1.0:
-            return hartogs2_kernel(ps[1], z[0], z[1], w[0], w[1])
-        if ps[1] == 1.0:
-            return hartogs2_kernel(ps[0], z[1], z[0], w[1], w[0])
+    ps = (1.0,) * n + tuple(b.p for b in rest)
+    if n == 0 and len(ps) == 2 and ps[0] == 2:
+        x, y = z[0] * w[0].conjugate(), z[1] * w[1].conjugate()
+        return k2_closed_form(x, y) if ps[1] == 2 else slice_kernel_kp(ps[1], x, y)
     if all(float(p).is_integer() for p in ps[:-1]):
-        return general_folded_kernel(
-            [int(p) for p in ps[:-1]], ps[-1], KernelPoint(tuple(z), tuple(w)))
+        return general_folded_kernel([int(p) for p in ps[:-1]], ps[-1], KernelPoint(z, w))
     from .oracle import SeriesConfig, series_kernel
 
-    return series_kernel(d, z, w, SeriesConfig())
+    return series_kernel(diagonal_domain(*ps), z, w, SeriesConfig())
 
 
 def ball_kernel_values(m: int, t: np.ndarray) -> np.ndarray:

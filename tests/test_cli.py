@@ -82,11 +82,10 @@ def test_eval_check_oracle(capsys):
 
 def test_eval_formula_dispatch(capsys):
     cases = [
-        ('{"blocks":[{"dim":1,"p":1},{"dim":1,"p":3.5}]}', "hartogs2"),
-        ('{"blocks":[{"dim":2,"p":1},{"dim":1,"p":2}]}', "pflate"),
+        ('{"blocks":[{"dim":1,"p":1},{"dim":1,"p":3.5}]}', "pflate"),
+        ('{"blocks":[{"dim":2,"p":1},{"dim":1,"p":2}]}', "mixed_family"),
         ('{"blocks":[{"dim":1,"p":2},{"dim":3,"p":1}]}', "mixed_family"),
-        ('{"blocks":[{"dim":1,"p":2.5},{"dim":1,"p":2},{"dim":1,"p":2}]}',
-         "series_oracle"),
+        ('{"blocks":[{"dim":1,"p":2.5},{"dim":1,"p":3.5}]}', "series_oracle"),
     ]
     for dom, tag in cases:
         dim = sum(b["dim"] for b in json.loads(dom)["blocks"])

@@ -1,9 +1,12 @@
 import cmath
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman.domains import Block, DomainSpec, diagonal_domain
 from bergman.errors import (
@@ -631,14 +634,15 @@ ROUTES = [
      lambda z, w: slice_kernel_kp(4.5, z[0] * w[0].conjugate(), z[1] * w[1].conjugate())),
     (diagonal_domain(4.5, 2.0), (0.1 - 0.1j, 0.25), (0.3j, 0.1), "slice_kp",
      lambda z, w: slice_kernel_kp(4.5, z[1] * w[1].conjugate(), z[0] * w[0].conjugate())),
-    (diagonal_domain(1.0, 3.5), (0.3, 0.2j), (0.1j, 0.25), "hartogs2",
-     lambda z, w: hartogs2_kernel(3.5, z[0], z[1], w[0], w[1])),
-    (diagonal_domain(3.5, 1.0), (0.2j, 0.3), (0.25, 0.1j), "hartogs2",
-     lambda z, w: hartogs2_kernel(3.5, z[1], z[0], w[1], w[0])),
+    (diagonal_domain(1.0, 3.5), (0.3, 0.2j), (0.1j, 0.25), "pflate",
+     lambda z, w: pflate_kernel(1, 1, 3.5, z[:1], z[1:], w[:1], w[1:])),
+    (diagonal_domain(3.5, 1.0), (0.2j, 0.3), (0.25, 0.1j), "pflate",
+     lambda z, w: pflate_kernel(1, 1, 3.5, z[1:], z[:1], w[1:], w[:1])),
     (diagonal_domain(2.0, 2.0, 2.5), (0.2, 0.3j, 0.1), (0.1j, 0.2, 0.3), "folded",
      lambda z, w: general_folded_kernel([2, 2], 2.5, KernelPoint(z, w))),
-    (diagonal_domain(2.5, 2.0, 2.0), (0.1, 0.2, 0.1j), (0.2, 0.1j, 0.1), "series_oracle",
-     None),
+    (diagonal_domain(2.5, 2.0, 2.0), (0.1, 0.2, 0.1j), (0.2, 0.1j, 0.1), "folded",
+     lambda z, w: general_folded_kernel([2, 2], 2.5, KernelPoint(z[1:] + z[:1], w[1:] + w[:1]))),
+    (diagonal_domain(2.5, 3.5), (0.2, 0.1j), (0.1j, 0.3), "series_oracle", None),
 ]
 
 
@@ -655,8 +659,86 @@ def test_evaluate_routes(d, z, w, tag, direct):
     assert abs(kv.value - want) <= 1e-8 * abs(want)
 
 
-def test_evaluate_rejects_unsupported_structure():
-    d = DomainSpec((Block(2, 2.0), Block(1, 3.0)))
+# spellings of one domain, each (blocks, z, w), that evaluate once sent down
+# different routes, or refused: every one now takes the route named
+Z3, W3 = (0.1 + 0.2j, 0.3, 0.1j), (0.2, -0.1j, 0.15)
+Z4, W4 = (0.1, 0.2j, 0.1, 0.15j), (0.2j, 0.1, 0.1j, 0.1)
+SPELLINGS = [
+    ("ball", [([(3, 1)], Z3, W3), ([(1, 1), (2, 1)], Z3, W3), ([(1, 1)] * 3, Z3, W3)]),
+    ("pflate", [([(1, 1), (2, 3)], Z3, W3),
+                ([(2, 3), (1, 1)], Z3[1:] + Z3[:1], W3[1:] + W3[:1])]),
+    ("folded", [([(1, 1), (1, 1), (1, 2), (1, 2.5)], Z4, W4),
+                ([(2, 1), (1, 2), (1, 2.5)], Z4, W4)]),
+    ("folded", [([(1, 2.5), (1, 2), (1, 2)], (0.1, 0.2, 0.1j), (0.2, 0.1j, 0.1)),
+                ([(1, 2), (1, 2), (1, 2.5)], (0.2, 0.1j, 0.1), (0.1j, 0.1, 0.2))]),
+]
+
+
+def _outcome(blocks, z, w):
+    """evaluate's formula and value bits on the spelling blocks, or the refusal."""
+    try:
+        kv = evaluate(DomainSpec(tuple(Block(m, p) for m, p in blocks)), z, w)
+    except UnsupportedDomain:
+        return "unsupported", None
+    return kv.formula, (kv.value.real.hex(), kv.value.imag.hex())
+
+
+@pytest.mark.parametrize("tag,spellings", SPELLINGS,
+                         ids=[f"{r[0]}-{i}" for i, r in enumerate(SPELLINGS)])
+def test_evaluate_spellings_take_one_route(tag, spellings):
+    outcomes = {_outcome(blocks, z, w) for blocks, z, w in spellings}
+    assert len(outcomes) == 1
+    assert outcomes.pop()[0] == tag
+
+
+@st.composite
+def blocks_and_points(draw):
+    """1-4 blocks (dim 1-3, p in {1, 2, 2.5, 3, 3.5}, int p as an int) and two
+    points with phi <= 0.6, each block's share of phi drawn."""
+    # dim 1 drawn 2:1, or most draws are refused or the ball and no diagonal route is reached
+    block = st.tuples(st.sampled_from([1, 1, 1, 1, 2, 3]), st.sampled_from([1, 2, 2.5, 3, 3.5]))
+    blocks = [draw(block) for _ in range(draw(st.integers(1, 4)))]
+
+    def point():
+        phi = draw(st.floats(0.0, 0.6))
+        shares = [draw(st.floats(0.05, 1.0)) for _ in blocks]
+        pt = []
+        for (m, p), share in zip(blocks, shares):
+            v = [draw(st.floats(0.0, 1.0)) * cmath.exp(1j * draw(st.floats(0.0, 6.3)))
+                 for _ in range(m)]
+            norm = math.sqrt(sum(abs(c) ** 2 for c in v))
+            r = (phi * share / sum(shares)) ** (p / 2.0)
+            pt += [c * r / norm if norm > 1e-6 else 0j for c in v]
+        return tuple(pt)
+
+    return blocks, point(), point()
+
+
+# 400 draws reach every route of evaluate (about 3 s)
+@settings(max_examples=400)
+@given(blocks_and_points())
+def test_evaluate_does_not_depend_on_the_block_order(case):
+    blocks, z, w = case
+    want = _outcome(blocks, z, w)
+    starts = list(itertools.accumulate((m for m, _ in blocks), initial=0))
+    for perm in itertools.permutations(range(len(blocks))):
+        idx = [k for j in perm for k in range(starts[j], starts[j + 1])]
+        got = _outcome([blocks[j] for j in perm], tuple(z[k] for k in idx),
+                       tuple(w[k] for k in idx))
+        assert got[0] == want[0], perm
+        # equal-p blocks in their written order: the same canonical input
+        if all(perm.index(i) < perm.index(j) for i, j in itertools.combinations(
+                range(len(blocks)), 2) if blocks[i][1] == blocks[j][1]):
+            assert got == want, perm
+    # a block (m, 1) is m blocks (1, 1)
+    split = [b for m, p in blocks for b in ([(1, p)] * m if p == 1 else [(m, p)])]
+    assert _outcome(split, z, w) == want
+
+
+@pytest.mark.parametrize("blocks", [((2, 2.0), (1, 3.0)), ((1, 3.0), (2, 2.0))],
+                         ids=["vector-first", "vector-last"])
+def test_evaluate_rejects_unsupported_structure(blocks):
+    d = DomainSpec(tuple(Block(m, p) for m, p in blocks))
     with pytest.raises(UnsupportedDomain):
         evaluate(d, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1))
 
