@@ -507,7 +507,9 @@ def _route(blocks: tuple[Block, ...], z: tuple, w: tuple) -> KernelValue:
     if len(rest) == 1:
         return pflate_kernel(n, rest[0].dim, rest[0].p, z[:n], z[n:], w[:n], w[n:])
     if any(b.dim > 1 for b in rest):
-        raise UnsupportedDomain("no evaluator for this block structure")
+        raise UnsupportedDomain("no evaluator for blocks " + " + ".join(
+            f"({b.dim}, {repr(float(b.p)).removesuffix('.0')})" for b in blocks)
+            + ": a vector block with p != 1 beside another block with p != 1")
     ps = (1.0,) * n + tuple(b.p for b in rest)
     if n == 0 and len(ps) == 2 and ps[0] == 2:
         x, y = z[0] * w[0].conjugate(), z[1] * w[1].conjugate()

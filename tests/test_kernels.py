@@ -738,8 +738,9 @@ def test_evaluate_does_not_depend_on_the_block_order(case):
 @pytest.mark.parametrize("blocks", [((2, 2.0), (1, 3.0)), ((1, 3.0), (2, 2.0))],
                          ids=["vector-first", "vector-last"])
 def test_evaluate_rejects_unsupported_structure(blocks):
+    # the message names the blocks in evaluate's order
     d = DomainSpec(tuple(Block(m, p) for m, p in blocks))
-    with pytest.raises(UnsupportedDomain):
+    with pytest.raises(UnsupportedDomain, match=r"^no evaluator for blocks \(2, 2\) \+ \(1, 3\): "):
         evaluate(d, (0.1, 0.1, 0.1), (0.1, 0.1, 0.1))
 
 
