@@ -36,7 +36,7 @@ from .kernels import (
     k2_values,
 )
 from .oracle import SeriesConfig, reproducing_check, series_kernel
-from .zeros import FAMILIES, MAX_RESOLUTION, ODD_QUOTIENTS
+from .zeros import FAMILIES, MAX_RESOLUTION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -265,14 +265,14 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    name = args.family
-    if name not in ODD_QUOTIENTS:
-        raise _Usage(f"sweep supports {', '.join(ODD_QUOTIENTS)}; got {name!r}")
-    fam = FAMILIES[name]
+    swept = [name for name, fam in FAMILIES.items() if fam.param is not None]
+    if args.family not in swept:
+        raise _Usage(f"sweep supports {', '.join(swept)}; got {args.family!r}")
+    fam = FAMILIES[args.family]
     flag = "p1" if fam.param == "p" else "n"
     grid = getattr(args, flag)
     lines = [f"{flag},status"]
-    for v in _family_values(name, flag, grid and _parse_range(" ".join(grid), flag)):
+    for v in _family_values(args.family, flag, grid and _parse_range(" ".join(grid), flag)):
         label = _fmt(v) if fam.param == "p" else int(v)
         lines.append(f"{label},{'zeroed' if fam.zeroed(v) else 'zero-free'}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -323,10 +323,17 @@ def test_sweep_simplex_and_mixed(capsys):
     assert statuses == ["zero-free", "zero-free", "zeroed", "zeroed"]
 
 
+def test_sweep_axis2_over_p1(capsys):
+    code = main(["sweep", "--family", "axis2", "--p1", "1..3"])
+    assert code == 0
+    assert capsys.readouterr().out == "p1,status\n1,zero-free\n2,zero-free\n3,zeroed\n"
+
+
 def test_sweep_bad_grid_exit_2(capsys):
     assert main(["sweep", "--family", "axis1", "--p1", "nonsense"]) == 2
-    assert main(["sweep", "--family", "axis2"]) == 2  # unsupported family
-    capsys.readouterr()
+    assert main(["sweep", "--family", "k2"]) == 2  # no parameter to sweep
+    assert capsys.readouterr().err.endswith(
+        "error: sweep supports axis1, axis2, simplex, mixed; got 'k2'\n")
 
 
 # ------------------------------------------------------------------ verify
