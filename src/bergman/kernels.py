@@ -474,10 +474,10 @@ def evaluate(d: DomainSpec, z: Sequence[complex], w: Sequence[complex]) -> Kerne
 
     The blocks are sorted stably, z and w with them: p = 1, p = 2, other integer
     p, then the rest by p.  With n the p = 1 coordinates: one block or no other is
-    the ball, one other (1, 2) mixed_family, any other one (m, p) pflate; else, all
-    one-dimensional, (2, 2) or (2, p) alone k2_closed or slice_kp, integer p but
-    the last folded, else the series oracle; else UnsupportedDomain.  A point
-    outside d raises OutsideDomain, and a non-finite value OverflowError.
+    the ball, one other (1, 2) mixed_family, any other one (m, p) pflate.  Beyond
+    that a vector block raises UnsupportedDomain; else (2, 2) or (2, p) alone is
+    k2_closed or slice_kp, integer p but the last folded, else the series oracle.
+    A point outside d raises OutsideDomain, and a non-finite value OverflowError.
     """
     for label, pt in (("z", z), ("w", w)):
         if not contains(d, pt):
