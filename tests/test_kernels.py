@@ -659,8 +659,8 @@ def test_evaluate_routes(d, z, w, tag, direct):
     assert abs(kv.value - want) <= 1e-8 * abs(want)
 
 
-# spellings of one domain, each (blocks, z, w), that evaluate once sent down
-# different routes, or refused: every one now takes the route named
+# spellings of one domain, each (blocks, z, w): every spelling takes the
+# route named, with the same value bits
 Z3, W3 = (0.1 + 0.2j, 0.3, 0.1j), (0.2, -0.1j, 0.15)
 Z4, W4 = (0.1, 0.2j, 0.1, 0.15j), (0.2j, 0.1, 0.1j, 0.1)
 SPELLINGS = [
