@@ -412,6 +412,22 @@ def _k2_terms(x, y):
     return 3.0 * s * (1.0 - (x - y) ** 2) + 8.0 * x * y, s ** 2 - 4.0 * x * y
 
 
+def _k2_cell_floor(xc, yc, hx, hy):
+    """Lower bound on |K2| over |x| <= |xc|, |x - xc| <= hx, |y| <= |yc|,
+    |y - yc| <= hy: num and delta at the centre moved by their sup gradients,
+    |d_x num| <= 3(1 + a^2) + 6(1 + a)a + 8|y|, |d_x delta| <= 2(1 + a) + 4|y|,
+    a = |x| + |y| (d_y with |x|).  A relative margin of 1e-6 covers rounding here
+    and in K2: on the k2 scan's grids |num| > 0.05 and |delta| > 1e-5, terms < 11."""
+    import numpy as np
+
+    num, delta = _k2_terms(xc, yc)
+    ax, ay = abs(xc), abs(yc)
+    a, h, c = ax + ay, hx + hy, ay * hx + ax * hy
+    lo = abs(num) - (3.0 + a * (6.0 + 9.0 * a)) * h - 8.0 * c
+    hi = abs(delta) + 2.0 * (1.0 + a) * h + 4.0 * c
+    return (2.0 / math.pi ** 2) * np.maximum(lo, 0.0) / (hi * hi * hi)
+
+
 def simplex_restriction_constant(n: int) -> float:
     """Accumulated deflation constant relating the C^n simplex-norm kernel
     restricted to one coordinate to the two-dimensional slice kernel.

@@ -16,6 +16,7 @@ from .errors import NoConvergence, PreconditionViolated
 from .jets import Jet1, jet1_variable
 from .kernels import (
     _axis2_coefficients,
+    _k2_cell_floor,
     _k2_terms,
     _mixed_scale,
     _odd_quotient,
@@ -27,10 +28,11 @@ from .kernels import (
 DEFAULT_SCAN_MARGIN = 0.12
 
 _BLOCK = 2048  # points per array evaluation in the winding count and the k2 scan
+_CELL = 3  # angles per pairing of a k2 scan cell, odd
 _MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
-MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points, ~res^4 k2 points
+MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/50 cells
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,9 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """Two-variable slice: eval_many broadcasts a column of x against a row of y,
-    restrict_x(y0) is the slice in x at y0 (grid_zero_scan calls eval_many only)."""
+    """K2's pair slice, the one whose cell floors grid_zero_scan assumes:
+    eval_many broadcasts arrays of x against arrays of y, restrict_x(y0) is
+    the slice in x at y0 (grid_zero_scan calls eval_many only)."""
 
     eval_many: Callable
     description: str
@@ -311,19 +314,30 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
     phase = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
     y_flat = (side[:, None] * phase[None, :]).ravel()
     root_y = np.sqrt(np.abs(y_flat))
-    min_mod = math.inf
-    # one radius of the first pairing at a time: which ys are admissible
-    # depends on |x0| = rx alone.  eval_many takes a column of first pairings
-    # against the row of those ys, as many as fit in _BLOCK points per call
-    for rx in side:
-        ys = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9]
-        if ys.size == 0:
-            continue
-        xs = rx * phase
-        step = max(1, _BLOCK // ys.size)
-        for k in range(0, resolution, step):
-            vals = np.abs(slc.eval_many(xs[k:k + step, None], ys[None, :]))
-            min_mod = min(min_mod, float(vals.min()))
+    # a cell: _CELL angles about a centre, wrapping, at one radius of each
+    # pairing, no point farther than h1 r from the centre.  Per rx the admissible
+    # ys are whole rings.  Cells whose floor lies above the running minimum are
+    # skipped; eval_many takes the points of the rest, per_call cells at a time
+    half = _CELL // 2
+    centres = np.minimum(np.arange(half, resolution + half, _CELL), resolution - 1)
+    around = (centres[:, None] + np.arange(-half, half + 1)) % resolution
+    h1 = 2.0 * math.sin(half * math.pi / resolution)
+    per_call, min_mod = _BLOCK // _CELL ** 2, math.inf
+    for rx in side[np.sqrt(side) + root_y.min() < 1.0 - 1e-9]:
+        rings = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9].reshape(-1, resolution)
+        yc = rings[:, centres].ravel()
+        step = max(1, _BLOCK // yc.size)
+        for k in range(0, centres.size, step):
+            xc = rx * phase[centres[k:k + step], None]
+            floor = _k2_cell_floor(xc, yc, rx * h1, np.abs(yc) * h1) * (1.0 - 1e-6)
+            ix, iy = np.nonzero(floor <= min_mod)
+            for j in range(0, ix.size, per_call):
+                cx, cy = ix[j:j + per_call], iy[j:j + per_call]
+                live = floor[cx, cy] <= min_mod
+                cx, cy = k + cx[live], cy[live]
+                xs = rx * phase[around[cx]][:, :, None]
+                ys = rings[cy[:, None] // centres.size, around[cy % centres.size]]
+                min_mod = float(np.abs(slc.eval_many(xs, ys[:, None, :])).min(initial=min_mod))
     if min_mod < tol:
         raise PreconditionViolated(
             f"grid minimum |f| = {min_mod!r} of the {slc.description} lies below "

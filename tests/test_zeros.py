@@ -6,13 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman import zeros as zeros_module
 from bergman.errors import NoConvergence, PreconditionViolated
 from bergman.jets import Jet1, jet1_variable, jet_rpow
 from bergman.kernels import (
+    _k2_cell_floor,
     axis_limit_kernel,
     k2_closed_form,
+    k2_values,
     mixed_family_kernel,
     slice_kernel_kp,
 )
@@ -462,17 +466,71 @@ def test_grid_scan_rejects_resolution_above_cap(slc):
         grid_zero_scan(slc, 257)
 
 
-@pytest.mark.parametrize("res", [8, 12, 48, 50])
+@pytest.mark.parametrize("res", [8, 12, 16, 48, 50, 64, 96])
 @pytest.mark.parametrize("tol", [1e-9])
 def test_k2_scan_matches_per_pairing_reference(res, tol):
-    # one eval_many call per block of first pairings gives the bits of
-    # min_modulus of one call per first pairing
+    # skipping the cells whose floor lies above the running minimum keeps
+    # the bits of min_modulus of one call per first pairing over every pair
     rep = grid_zero_scan(k2_pair_slice(), res, tol=tol)
     assert rep.min_modulus.hex() == k2_scan_reference(k2_pair_slice(), res).hex()
 
 
 def _no_restriction(y0):
     raise AssertionError(f"the k2 scan restricted to y = {y0}")
+
+
+def _counted_k2(counts):
+    """k2_pair_slice whose eval_many appends the number of points it takes."""
+    k2 = k2_pair_slice()
+
+    def eval_many(x, y):
+        vals = k2.eval_many(x, y)
+        counts.append(vals.size)
+        return vals
+
+    return TwoVarSlice(eval_many=eval_many, description=k2.description,
+                       restrict_x=_no_restriction)
+
+
+def test_k2_scan_evaluates_a_fifth_of_the_grid_at_most():
+    # the reference passes every admissible pair once; the scan, which
+    # evaluates only the cells its floors cannot skip, about 1.3 % of them
+    grid, scan = [], []
+    want = k2_scan_reference(_counted_k2(grid), 48)
+    assert grid_zero_scan(_counted_k2(scan), 48).min_modulus.hex() == want.hex()
+    assert sum(grid) == 1029888
+    assert sum(scan) <= 0.2 * sum(grid)
+
+
+@st.composite
+def k2_cells(draw):
+    """res 8-96, admissible grid radii of both pairings, centre angles
+    anywhere and 1-3 grid steps of angle either side of each centre."""
+    res = draw(st.integers(8, 96))
+    side = np.linspace(0.88 / res, 0.88, res)
+    fits = np.sqrt(side)[:, None] + np.sqrt(side)[None, :] < 1.0 - 1e-9
+    i, j = draw(st.sampled_from(np.argwhere(fits).tolist()))
+    return (res, side[i], side[j], draw(st.floats(0.0, 2.0 * math.pi)),
+            draw(st.floats(0.0, 2.0 * math.pi)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=300)
+@given(k2_cells())
+def test_k2_cell_floor_lies_below_k2_on_the_cell(cell):
+    # the cell's grid points (its corners among them) and random points in
+    # the hull of each pairing's arc of grid points
+    res, rx, ry, tx, ty, kx, ky, seed = cell
+    step = 2.0 * math.pi / res
+    xs = rx * np.exp(1j * (tx + step * np.arange(-kx, kx + 1)))
+    ys = ry * np.exp(1j * (ty + step * np.arange(-ky, ky + 1)))
+    floor = _k2_cell_floor(xs[kx], ys[ky], 2.0 * rx * math.sin(kx * step / 2.0),
+                           2.0 * ry * math.sin(ky * step / 2.0))
+    rng = np.random.default_rng(seed)
+    hull_x = rng.dirichlet(np.ones(xs.size), 200) @ xs
+    hull_y = rng.dirichlet(np.ones(ys.size), 200) @ ys
+    assert 0.0 <= floor <= np.abs(k2_values(xs[:, None], ys[None, :])).min()
+    assert floor <= np.abs(k2_values(hull_x, hull_y)).min()
 
 
 @pytest.mark.parametrize("res", [8, 48])
