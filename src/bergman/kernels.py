@@ -413,18 +413,30 @@ def _k2_terms(x, y):
 
 
 def _k2_cell_floor(xc, yc, hx, hy):
-    """Lower bound on |K2| at |x| <= |xc|, |x - xc| <= hx, |y| <= |yc|, |y - yc| <= hy:
-    num and delta at the centre moved by sup gradients |d_x num| <= 3(1 + a^2) +
-    6(1 + a)a + 8|y|, |d_x delta| <= 2(1 + a) + 4|y|, a = |x| + |y| (d_y with |x|).
-    A relative margin of 1e-6 covers rounding here and in K2: |num| stays near or
-    above 0.05 on the scan's grids (0.057 at res 256), against terms below 11."""
+    """Lower bound on |K2| on the bidisc |x - xc| <= hx, |y - yc| <= hy.
+
+    num and delta are exact second-order Taylor sums about the centre.  With
+    s = 1 - x - y, d = x - y and h = hx + hy, the remainder of delta is
+    (u - v)^2, u = x - xc, v = y - yc, so at most h^2, and that of num is
+    3(-s_c (u - v)^2 + 2 d_c (u + v)(u - v) + (u + v)(u - v)^2) + 8uv, at most
+    3(2|d_c| + |s_c| + h) h^2 + 8 hx hy.  A relative margin of 1e-6, taken by
+    the caller, covers rounding here and in K2.  |num| stays near or above
+    0.05 on the scan's grids (0.057 at res 256), against terms below 11, so
+    K2 rounds by some 1e-13 of itself.  Every cell whose floor lies above the
+    scan's minimum keeps |num_c| less its linear and remainder terms above
+    4e-5 (res 8 to 96 and every 12th up to 256, least at 208), against terms
+    below 8, so the rounding of that difference, under 1e-13, moves the floor
+    by under 1e-8 of itself."""
     import numpy as np
 
     num, delta = _k2_terms(xc, yc)
-    ax, ay = abs(xc), abs(yc)
-    a, h, c = ax + ay, hx + hy, ay * hx + ax * hy
-    lo = abs(num) - (3.0 + a * (6.0 + 9.0 * a)) * h - 8.0 * c
-    hi = abs(delta) + 2.0 * (1.0 + a) * h + 4.0 * c
+    s, d = 1.0 - xc - yc, xc - yc
+    e, f = 3.0 - 3.0 * (d * d), 6.0 * (s * d)
+    h = hx + hy
+    lo = (abs(num) - abs(8.0 * yc - e - f) * hx - abs(8.0 * xc - e + f) * hy
+          - 3.0 * (2.0 * abs(d) + abs(s) + h) * h * h - 8.0 * hx * hy)
+    # the gradient of delta is -2(1 - d, 1 + d)
+    hi = abs(delta) + 2.0 * (abs(1.0 - d) * hx + abs(1.0 + d) * hy) + h * h
     return (2.0 / math.pi ** 2) * np.maximum(lo, 0.0) / (hi * hi * hi)
 
 

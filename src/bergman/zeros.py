@@ -27,12 +27,13 @@ from .kernels import (
 
 DEFAULT_SCAN_MARGIN = 0.12
 
-_BLOCK = 2048  # points per array evaluation in the winding count and the k2 scan
-_CELL = 3  # angles per pairing of a k2 scan cell, odd
+_BLOCK = 2048  # points per array evaluation, and k2 scan coarse cells per chunk
+_CELL = 3  # angles per pairing of a fine k2 scan cell, odd
+_COARSE = 3  # fine cells per pairing of a coarse k2 scan cell, odd
 _MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
-MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/50 cells
+MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/700 cells
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,10 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """K2's pair slice, the one whose cell floors grid_zero_scan assumes:
-    eval_many broadcasts arrays of x against arrays of y, restrict_x(y0) is
-    the slice in x at y0 (grid_zero_scan calls eval_many only)."""
+    """K2's pair slice, the one whose cell floors and swap symmetry
+    f(x, y) = f(y, x) grid_zero_scan assumes: eval_many broadcasts arrays of
+    x against arrays of y, restrict_x(y0) is the slice in x at y0
+    (grid_zero_scan calls eval_many only)."""
 
     eval_many: Callable
     description: str
@@ -162,21 +164,23 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     zero on the circle ends in NoConvergence instead of a wrong integer, as a
     non-finite sum where a sample hits it and as a sum that never settles
     otherwise (one simple zero a gives exactly 1/(1 - (a/r)^M), whose real
-    part is 1/2 when |a| = r).  Each sum calls f on one order-1 array jet per
-    _BLOCK contour points, under np.errstate(all="ignore"): an overflow
-    reaches the non-finite check silently.
+    part is 1/2 when |a| = r).  The sums nest: 2 pi k/M doubles exactly with
+    k and M, so the even samples at 2M are the samples at M, bit for bit, and
+    the sum at 2M adds only its M odd ones to the raw sum at M.  A count thus
+    evaluates f once at each of its final M points, on one order-1 array jet
+    per _BLOCK of them, under np.errstate(all="ignore"): an overflow reaches
+    the non-finite check silently.
     """
     import numpy as np
 
     if not (0.0 < radius < 1.0):
         raise PreconditionViolated(f"radius must lie in (0,1), got {radius}")
-    prev = None
-    m = 512
+    prev, acc, m, step = None, 0j, 512, 1
     while m <= _MAX_SAMPLES:
-        acc = 0j
         with np.errstate(all="ignore"):
-            for k in range(0, m, _BLOCK):
-                t = radius * np.exp(2j * math.pi * np.arange(k, min(m, k + _BLOCK)) / m)
+            for k in range(step - 1, m, step * _BLOCK):
+                ks = np.arange(k, min(m, k + step * _BLOCK), step)
+                t = radius * np.exp(2j * math.pi * ks / m)
                 jet = f.eval(Jet1(t, (t, np.ones_like(t))))
                 acc += complex((jet.coeffs[1] / jet.coeffs[0] * t).sum())
         w = acc / m
@@ -185,8 +189,7 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
         nearest = round(w.real)
         if abs(w - nearest) < 1e-3 and prev == nearest:
             return int(nearest)
-        prev = nearest
-        m *= 2
+        prev, m, step = nearest, 2 * m, 2
     raise NoConvergence(f"winding sum did not settle to an integer on |t| = {radius}")
 
 
@@ -312,32 +315,65 @@ def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroRep
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
     side = np.linspace(rmax / resolution, rmax, resolution)
     phase = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
-    y_flat = (side[:, None] * phase[None, :]).ravel()
-    root_y = np.sqrt(np.abs(y_flat))
-    # a cell: _CELL angles about a centre, wrapping, at one radius of each
-    # pairing, no point farther than h1 r from the centre.  Per rx the admissible
-    # ys are whole rings.  Cells whose floor lies above the running minimum are
-    # skipped; eval_many takes the points of the rest, per_call cells at a time
+    # A fine group is _CELL angles about a centre, wrapping; a coarse group is
+    # _COARSE consecutive fine groups about the middle one, the last cut short
+    # (its repeats masked out).  A cell is one radius and one group of each
+    # pairing, no point farther than h r from its centre (1 angle step, or 4
+    # for a coarse cell).  The admissible radius pairs are symmetric and their
+    # rings whole, and K2(x, y) = K2(y, x), so floors go to the cells whose
+    # (radius, group) of x is at most that of y, and each fine cell that
+    # survives passes its points to eval_many in both orders.  Coarse cells
+    # come _BLOCK at a time, best floor first
     half = _CELL // 2
     centres = np.minimum(np.arange(half, resolution + half, _CELL), resolution - 1)
     around = (centres[:, None] + np.arange(-half, half + 1)) % resolution
-    h1 = 2.0 * math.sin(half * math.pi / resolution)
-    per_call, min_mod = _BLOCK // _CELL ** 2, math.inf
-    for rx in side[np.sqrt(side) + root_y.min() < 1.0 - 1e-9]:
-        rings = y_flat[math.sqrt(rx) + root_y < 1.0 - 1e-9].reshape(-1, resolution)
-        yc = rings[:, centres].ravel()
-        step = max(1, _BLOCK // yc.size)
-        for k in range(0, centres.size, step):
-            xc = rx * phase[centres[k:k + step], None]
-            floor = _k2_cell_floor(xc, yc, rx * h1, np.abs(yc) * h1) * (1.0 - 1e-6)
-            ix, iy = np.nonzero(floor <= min_mod)
-            for j in range(0, ix.size, per_call):
-                cx, cy = ix[j:j + per_call], iy[j:j + per_call]
-                live = floor[cx, cy] <= min_mod
-                cx, cy = k + cx[live], cy[live]
-                xs = rx * phase[around[cx]][:, :, None]
-                ys = rings[cy[:, None] // centres.size, around[cy % centres.size]]
-                min_mod = float(np.abs(slc.eval_many(xs, ys[:, None, :])).min(initial=min_mod))
+    grouped = np.arange(0, centres.size, _COARSE)[:, None] + np.arange(_COARSE)
+    fresh, members = grouped < centres.size, np.minimum(grouped, centres.size - 1)
+    mid = centres[members[:, _COARSE // 2]]
+    h_fine = 2.0 * math.sin(half * math.pi / resolution)
+    h_coarse = 2.0 * math.sin((half + _CELL * (_COARSE // 2)) * math.pi / resolution)
+    root = np.sqrt(side)
+    ri, rj = np.nonzero(np.triu(root[:, None] + root[None, :] < 1.0 - 1e-9))
+    ga, gb = np.divmod(np.arange(mid.size ** 2), mid.size)
+
+    min_mod = math.inf
+
+    def floors(i, a, j, b, angle, h):
+        return _k2_cell_floor(side[i] * phase[angle[a]], side[j] * phase[angle[b]],
+                              side[i] * h, side[j] * h) * (1.0 - 1e-6)
+
+    def best_first(floor, size):
+        # cells whose floor is at most the running minimum, lowest first, size
+        # at a time (one until a value is in), each batch checked as it comes
+        order = np.flatnonzero(floor <= min_mod)
+        order = order[np.argsort(floor[order])]
+        k = 0
+        while k < order.size:
+            cell = order[k:k + (size if min_mod < math.inf else 1)]
+            cell = cell[floor[cell] <= min_mod]
+            if cell.size == 0:
+                return
+            k += cell.size
+            yield cell
+
+    per_chunk = max(1, _BLOCK // ga.size)
+    for k in range(0, ri.size, per_chunk):
+        p, q = np.nonzero((ri[k:k + per_chunk, None] < rj[k:k + per_chunk, None]) | (ga <= gb))
+        i, a, j, b = ri[k + p], ga[q], rj[k + p], gb[q]
+        for live in best_first(floors(i, a, j, b, mid, h_coarse), _BLOCK // _CELL ** 2):
+            ci, ca, cj, cb = i[live], members[a[live]], j[live], members[b[live]]
+            keep = fresh[a[live]][:, :, None] & fresh[b[live]][:, None, :]
+            keep &= (ci < cj)[:, None, None] | (ca[:, :, None] <= cb[:, None, :])
+            c, u, v = np.nonzero(keep)
+            fi, fa, fj, fb = ci[c], ca[c, u], cj[c], cb[c, v]
+            fine = floors(fi, fa, fj, fb, centres, h_fine)
+            for cell in best_first(fine, _BLOCK // (2 * _CELL ** 2)):
+                twin = cell[(fi[cell] != fj[cell]) | (fa[cell] != fb[cell])]
+                xi, xa, yj, yb = (np.concatenate((one[cell], other[twin])) for one, other
+                                  in ((fi, fj), (fa, fb), (fj, fi), (fb, fa)))
+                xs = side[xi, None, None] * phase[around[xa]][:, :, None]
+                ys = side[yj, None, None] * phase[around[yb]][:, None, :]
+                min_mod = float(np.abs(slc.eval_many(xs, ys)).min(initial=min_mod))
     if min_mod < tol:
         raise PreconditionViolated(
             f"grid minimum |f| = {min_mod!r} of the {slc.description} lies below "

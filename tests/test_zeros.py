@@ -269,6 +269,29 @@ def test_winding_contour_through_zero():
         count_zeros_winding(between, 0.5)
 
 
+@pytest.mark.parametrize("make, r, want", [
+    (lambda: axis1_slice(4.0), 0.9, 2),
+    (lambda: axis1_slice(26.0), 0.999, 12),
+    (lambda: simplex_slice(9), 0.999, 8),
+], ids=["axis1-4", "axis1-26", "simplex-9"])
+def test_winding_evaluates_each_contour_point_once(make, r, want):
+    # the sum at 2M reuses the M samples of the sum at M, so the points
+    # evaluated are the final contour's M points, each once
+    slc, seen = make(), []
+
+    def counted(t):
+        seen.append(t.coeffs[0].copy())
+        return slc.eval(t)
+
+    assert count_zeros_winding(SliceFunction(eval=counted, description="counted"), r) == want
+    t = np.concatenate(seen)
+    m = t.size
+    assert m >= 1024 and m & (m - 1) == 0
+    k = np.rint(np.angle(t) % (2.0 * math.pi) * m / (2.0 * math.pi)).astype(int) % m
+    assert np.array_equal(np.sort(k), np.arange(m))
+    assert np.allclose(t, r * np.exp(2j * math.pi * k / m), rtol=0.0, atol=1e-15)
+
+
 # --------------------------------------------------------------- axis1 loci
 
 
@@ -492,45 +515,66 @@ def _counted_k2(counts):
                        restrict_x=_no_restriction)
 
 
-def test_k2_scan_evaluates_a_fifth_of_the_grid_at_most():
-    # the reference passes every admissible pair once; the scan, which
-    # evaluates only the cells its floors cannot skip, about 1.3 % of them
+def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
+    # the reference passes every admissible pair once; the scan, which takes
+    # floors on coarse cells, then on the fine cells of those it cannot skip,
+    # and evaluates the fine cells left, passes about 0.2 % of them
+    cells = []
+
+    def counted_floor(xc, yc, hx, hy):
+        cells.append(np.broadcast(xc, yc, hx, hy).size)
+        return _k2_cell_floor(xc, yc, hx, hy)
+
     grid, scan = [], []
     want = k2_scan_reference(_counted_k2(grid), 48)
+    monkeypatch.setattr(zeros_module, "_k2_cell_floor", counted_floor)
     assert grid_zero_scan(_counted_k2(scan), 48).min_modulus.hex() == want.hex()
     assert sum(grid) == 1029888
-    assert sum(scan) <= 0.2 * sum(grid)
+    assert sum(scan) <= 0.01 * sum(grid)
+    assert 0 < sum(cells) <= 25000
+
+
+@pytest.mark.parametrize("res, want", [(128, "0x1.05988516b080ep-7"),
+                                       (192, "0x1.9eacc4bb805cbp-8"),
+                                       (256, "0x1.6cba6547d44bap-8")])
+def test_k2_scan_keeps_its_bits_at_high_resolution(res, want):
+    # min_modulus of the full-grid scan, too slow to recompute per pairing here
+    assert grid_zero_scan(k2_pair_slice(), res).min_modulus.hex() == want
 
 
 @st.composite
 def k2_cells(draw):
     """res 8-96, admissible grid radii of both pairings, centre angles
-    anywhere and 1-3 grid steps of angle either side of each centre."""
+    anywhere and 1-4 grid steps of angle either side of each centre, the
+    half-widths of a fine and of a coarse scan cell."""
     res = draw(st.integers(8, 96))
     side = np.linspace(0.88 / res, 0.88, res)
     fits = np.sqrt(side)[:, None] + np.sqrt(side)[None, :] < 1.0 - 1e-9
     i, j = draw(st.sampled_from(np.argwhere(fits).tolist()))
     return (res, side[i], side[j], draw(st.floats(0.0, 2.0 * math.pi)),
-            draw(st.floats(0.0, 2.0 * math.pi)), draw(st.integers(1, 3)),
-            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1)))
+            draw(st.floats(0.0, 2.0 * math.pi)), draw(st.integers(1, 4)),
+            draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _in_disc(rng, centre, radius, n):
+    return centre + radius * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
 
 
 @settings(max_examples=300)
 @given(k2_cells())
 def test_k2_cell_floor_lies_below_k2_on_the_cell(cell):
-    # the cell's grid points (its corners among them) and random points in
-    # the hull of each pairing's arc of grid points
+    # the cell's grid points (its corners among them) and random points
+    # anywhere in the bidisc the floor bounds
     res, rx, ry, tx, ty, kx, ky, seed = cell
     step = 2.0 * math.pi / res
     xs = rx * np.exp(1j * (tx + step * np.arange(-kx, kx + 1)))
     ys = ry * np.exp(1j * (ty + step * np.arange(-ky, ky + 1)))
-    floor = _k2_cell_floor(xs[kx], ys[ky], 2.0 * rx * math.sin(kx * step / 2.0),
-                           2.0 * ry * math.sin(ky * step / 2.0))
+    hx, hy = 2.0 * rx * math.sin(kx * step / 2.0), 2.0 * ry * math.sin(ky * step / 2.0)
+    floor = _k2_cell_floor(xs[kx], ys[ky], hx, hy)
     rng = np.random.default_rng(seed)
-    hull_x = rng.dirichlet(np.ones(xs.size), 200) @ xs
-    hull_y = rng.dirichlet(np.ones(ys.size), 200) @ ys
     assert 0.0 <= floor <= np.abs(k2_values(xs[:, None], ys[None, :])).min()
-    assert floor <= np.abs(k2_values(hull_x, hull_y)).min()
+    assert floor <= np.abs(k2_values(_in_disc(rng, xs[kx], hx, 200),
+                                     _in_disc(rng, ys[ky], hy, 200))).min()
 
 
 @pytest.mark.parametrize("res", [8, 48])
