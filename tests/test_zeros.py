@@ -534,6 +534,40 @@ def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
     assert 0 < sum(cells) <= 25000
 
 
+@pytest.mark.parametrize("res", [12, 16])
+def test_k2_scan_covers_every_grid_pair(res, monkeypatch):
+    # each admissible pair (x, y) went to eval_many as (x, y), or it or (y, x)
+    # lies in a bidisc whose floor, less the margin, is above the minimum; at
+    # res 12 the last coarse group holds one fine group, at 16 all hold three
+    cells, seen = [], set()
+
+    def recorded_floor(xc, yc, hx, hy):
+        floor = _k2_cell_floor(xc, yc, hx, hy)
+        cells.append(np.broadcast_arrays(xc, yc, hx, hy, floor))
+        return floor
+
+    def recorded(x, y):
+        seen.update(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(x, y))))
+        return k2_values(x, y)
+
+    monkeypatch.setattr(zeros_module, "_k2_cell_floor", recorded_floor)
+    slc = TwoVarSlice(eval_many=recorded, description="k2", restrict_x=_no_restriction)
+    least = grid_zero_scan(slc, res).min_modulus
+    xc, yc, hx, hy, floor = (np.concatenate(a) for a in zip(*cells))
+    skip, slack = floor * (1.0 - 1e-6) > least, 1.0 + 1e-12  # slack: distances round
+    xc, yc, hx, hy = xc[skip], yc[skip], hx[skip] * slack, hy[skip] * slack
+    side = np.linspace(0.88 / res, 0.88, res)
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(res) / res))
+    pairs = [(x, y) for rx in side for ry in side if math.sqrt(rx) + math.sqrt(ry) < 1.0 - 1e-9
+             for x in (rx * ring).tolist() for y in (ry * ring).tolist()]
+    left = np.array([q for q in pairs if q not in seen])
+    x, y = left[:, :1], left[:, 1:]
+    inside = ((np.abs(x - xc) <= hx) & (np.abs(y - yc) <= hy)).any(axis=1)
+    mirrored = ((np.abs(y - xc) <= hx) & (np.abs(x - yc) <= hy)).any(axis=1)
+    assert len(pairs) > left.shape[0] > 0
+    assert (inside | mirrored).all()
+
+
 @pytest.mark.parametrize("res, want", [(128, "0x1.05988516b080ep-7"),
                                        (192, "0x1.9eacc4bb805cbp-8"),
                                        (256, "0x1.6cba6547d44bap-8")])
