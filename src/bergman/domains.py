@@ -120,16 +120,22 @@ def phi(d: DomainSpec, z: Sequence[complex]) -> float:
     if len(z) != d.total_dim:
         raise DimensionMismatch(
             f"point has {len(z)} coordinates, domain has {d.total_dim}")
+    return _block_phi([(b.dim, b.p) for b in d.blocks], z)
+
+
+def _block_phi(blocks: Sequence[tuple[int, float]], z: Sequence[complex]) -> float:
+    """phi over (dim, p) pairs laid end to end in z, which must be long enough;
+    the closed forms test membership through it without building a DomainSpec."""
     total = 0.0
     idx = 0
-    for b in d.blocks:
+    for dim, p in blocks:
         norm_sq = 0.0
-        for k in range(b.dim):
+        for k in range(dim):
             norm_sq += abs(z[idx + k]) ** 2
-        idx += b.dim
+        idx += dim
         # != rather than >, so that a NaN coordinate makes phi NaN: outside
         if norm_sq != 0.0:
-            total += norm_sq ** (1.0 / b.p)
+            total += norm_sq ** (1.0 / p)
     return total
 
 

@@ -175,17 +175,18 @@ def _mul1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
     return out
 
 
-def _div1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
+def _div1(a: tuple[complex, ...], b: tuple[complex, ...], head=()) -> list[complex]:
+    """a / b to the order of a.  ``head`` may hold the first coefficients of the
+    quotient, from a lower-order call: the rest follow from them, the same bits."""
     if _near_zero(b[0]):
         raise DivisionByZeroJet("divisor jet has (numerically) zero constant term")
     n = len(a)
-    out = [0j] * n
-    out[0] = a[0] / b[0]
-    for k in range(1, n):
+    out = list(head) or [a[0] / b[0]]
+    for k in range(len(out), n):
         s = a[k]
         for j in range(1, k + 1):
             s = s - b[j] * out[k - j]
-        out[k] = s / b[0]
+        out.append(s / b[0])
     return out
 
 

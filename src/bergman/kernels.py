@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .domains import Block, DomainSpec, contains, diagonal_domain, gamma_fn
+from .domains import Block, DomainSpec, _block_phi, contains, diagonal_domain, gamma_fn
 from .errors import (
+    DimensionMismatch,
     InvalidOrder,
     NonIntegerFold,
     OutsideDomain,
@@ -113,18 +114,73 @@ def _hartogs_fpp(p: float, s, y):
     return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
 
 
-def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int) -> list[complex]:
+def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
+                     head=()) -> list[complex]:
     """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
     b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits.
+    Every coefficient is the same at any order, so the last division may start
+    from ``head``, the result of a lower-order call.
     An interior b_0 reads 0 only where (1-tau)^p underflows, so K overflows there."""
     b = _rpow1([(1 + 0j) - complex(tau), -1 + 0j] + [0j] * (order - 1), p)
     b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
     if _near_zero(b[0]):
         raise OverflowError(f"(1 - tau)^p underflows to 0 at p = {p}, tau = {tau}")
     g = [1 + 0j] + [0j] * order
-    for _ in range(m):
-        g = _div1(g, b)
+    for i in range(m):
+        g = _div1(g, b, head if i == m - 1 else ())
     return g
+
+
+# The bound on a left-out filter term is multiplied by this, for the rounding
+# of the bound's own few operations and of the term's read-off and factors.
+_FILTER_SAFETY = 4.0
+# A combination's jet stops at the last filter term whose bound is at least this
+# share of the first term's: terms below it are mostly under a quarter ulp.
+_FILTER_CUT = 2.0 ** -70
+
+
+def _filter_bounds(tau: complex, p: float, y: complex, terms, weights,
+                   order: int) -> list[float]:
+    """Per filter term (deg d, factors F), a bound on d! g_d F as computed, with
+    g_d the degree-d coefficient of _recip_power_jet(tau, p, y, 1, order), the
+    jet of g(t) = 1/b(t), b = (1 - tau - t)^p - y; ``weights`` holds
+    _FILTER_SAFETY d! |F| per term.
+
+    Write a = |1 - tau|; a > |y|^(1/p) inside the domain.  On |t| = R below
+    a - |y|^(1/p), |b| >= (a - R)^p - |y|, so |g_d| <= G R^-d with
+    G = 1/((a - R)^p - |y|) (Cauchy); R is best for a pole at degree ref,
+    midway between the first term's and ``order``.
+    Rounding: the jet solves B g = e_0, B the Toeplitz matrix of b.  The
+    computed g' solves (B + E) g' = e_0, with |E| <= gamma Bm entrywise; Bm
+    holds a^p + |y| and a^(p-j) p (p+1) ... (p+j-1)/j!, which bound |b_j| and
+    b_j as computed, and gamma = (8p + 16(order + 4)) 2^-53 covers the complex
+    power, the products of _rpow1 and the sums of _div1.  So |g' - g| <=
+    gamma |g| * Bm * |g'| coefficientwise, where |g'| is at most the majorant
+    M of 1/(a^p - |y| - (Bm(t) - a^p - |y|)).  At |t| = rho, half M's radius,
+    that is gamma A Bm(rho) M(rho) rho^-d, with A = G/(1 - rho/R).  The same
+    majorants keep every coefficient, sum and read-off of the full-order jet
+    below 2^1000, or every bound is inf.
+    """
+    a, ay = abs(1.0 - tau), abs(y)
+    ref = (terms[0][0] + order) // 2
+    try:
+        ap = a ** p
+        rad = a - ay ** (1.0 / p)
+        big_r = min(a * ref / (p + ref), rad * ref / (ref + 1))
+        cauchy = 1.0 / ((a - big_r) ** p - ay)
+        rho = 0.5 * a * (1.0 - (2.0 - ay / ap) ** (-1.0 / p))
+        grow = (1.0 - rho / a) ** -p
+        b_rho, m_rho = ay + ap * grow, 1.0 / (ap * (2.0 - grow) - ay)
+        err = ((8.0 * p + 16.0 * (order + 4)) * 2.0 ** -53 * cauchy / (1.0 - rho / big_r)
+               * b_rho * m_rho)
+        finite = ((b_rho + m_rho * math.factorial(order) + b_rho * m_rho) * rho ** -order
+                  < 2.0 ** 1000)
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not (finite and 0.0 < rho < big_r < rad and cauchy > 0.0 and m_rho > 0.0):
+        return [math.inf] * len(terms)
+    return [w * (cauchy * big_r ** -deg + err * rho ** -deg)
+            for (deg, _), w in zip(terms, weights)]
 
 
 def _slice_direct(p: float, xi, y):
@@ -224,9 +280,11 @@ def pflate_kernel(n: int, m: int, p: float,
     """
     if n < 1 or m < 1:
         raise InvalidOrder(f"both block dimensions must be >= 1, got ({n},{m})")
-    d = DomainSpec((Block(n, 1.0), Block(m, p)))
+    if (len(z), len(Z), len(w), len(W)) != (n, m, n, m):
+        raise DimensionMismatch(
+            f"blocks of lengths {len(z)}, {len(Z)} and {len(w)}, {len(W)} for n = {n}, m = {m}")
     for pt in (tuple(z) + tuple(Z), tuple(w) + tuple(W)):
-        if not contains(d, pt):
+        if not _block_phi(((n, 1.0), (m, p)), pt) < 1.0:
             raise OutsideDomain(f"point {pt} outside the domain")
     g = _recip_power_jet(pairing(z, w), p, pairing(Z, W), m, n + 1)
     val = _factorial_times(_factorial_times(g[n + 1], n + 1), m - 1)
@@ -291,9 +349,9 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     if len(pt.z) != n + 1:
         raise OutsideDomain(
             f"point has {len(pt.z)} coordinates, expected {n + 1}")
-    dom = diagonal_domain(*p_list, p)
+    blocks = [(1, float(q)) for q in p_list + [p]]
     for ptt in (pt.z, pt.w):
-        if not contains(dom, ptt):
+        if not _block_phi(blocks, ptt) < 1.0:
             raise OutsideDomain(f"point {ptt} outside the domain")
 
     v = [pt.z[k] * pt.w[k].conjugate() for k in range(n)]
@@ -330,6 +388,15 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     terms = [(n + 1 + sum(b for b, _ in idx), [f for _, f in reversed(idx)])
              for idx in itertools.product(*filt)]
     order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
+    # a combination's jet stops at the last term that _filter_bounds cannot show
+    # to be below a quarter ulp of both parts of the sum at its place; a term
+    # past it that fails that test brings in the full order, for this and every
+    # later combination, and the first coefficients are the same bits either way
+    bounded = len(terms) > 1 and order < 171  # the bounds take order! as a float
+    weights = [_FILTER_SAFETY * math.factorial(deg) * math.prod(map(abs, factors))
+               for deg, factors in terms] if bounded else []
+    bounds = [math.inf] * len(terms)
+    short = max(deg for deg, _ in terms)
 
     total = 0j
     for combo in itertools.product(*roots):
@@ -337,10 +404,22 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
         for term, om_bar in combo:
             tau += term
             weight *= om_bar
-        g = _recip_power_jet(tau, p, y, 1, order)
-        contrib = 0j
-        for deg, factors in terms:
+        if bounded:
+            bounds = _filter_bounds(tau, p, y, terms, weights, order)
+            cut = bounds[0] * _FILTER_CUT
+            short = max(deg for (deg, _), bound in zip(terms, bounds) if not bound < cut)
+        g = _recip_power_jet(tau, p, y, 1, short)
+        contrib, room = 0j, None
+        for (deg, factors), bound in zip(terms, bounds):
+            if deg >= len(g):
+                if room is None:
+                    room = 0.25 * min(math.ulp(contrib.real), math.ulp(contrib.imag))
+                if bound < room:
+                    continue
+                g = _recip_power_jet(tau, p, y, 1, order, g)
+                bounded, short = False, order
             contrib += math.prod(factors, start=_factorial_times(g[deg], deg))
+            room = None
         total += weight * contrib
     return KernelValue(prefactor * total, "folded",
                        near_singular_limit=bool(series))

@@ -116,13 +116,16 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
 
 
 def _phi_many(d: DomainSpec, sq: np.ndarray) -> np.ndarray:
-    """phi at each row of squared moduli |z_j|^2."""
-    import numpy as np
-
-    out = np.zeros(sq.shape[0])
+    """phi at each row of squared moduli |z_j|^2, a block's columns added in
+    turn, which are the bits of a sum over its slice."""
+    out = None
     col = 0
     for b in d.blocks:
-        out += np.sum(sq[:, col:col + b.dim], axis=1) ** (1.0 / b.p)
+        norm_sq = sq[:, col]
+        for k in range(col + 1, col + b.dim):
+            norm_sq = norm_sq + sq[:, k]
+        term = norm_sq ** (1.0 / b.p)
+        out = term if out is None else out + term
         col += b.dim
     return out
 

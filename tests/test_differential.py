@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman import kernels as kernels_module
 from bergman.domains import diagonal_domain
 from bergman.jets import (
     jet1_variable,
@@ -29,6 +30,7 @@ from bergman.jets import (
 from bergman.kernels import (
     EPS_SWITCH,
     KernelPoint,
+    _recip_power_jet,
     _mixed_scale,
     _odd_quotient,
     ball_kernel,
@@ -222,10 +224,12 @@ def outcome(f, *args, **kwargs):
     return v.real.hex(), v.imag.hex()
 
 
-def fold_draw(rng, p_list, p, near_axis):
+def fold_draw(rng, p_list, p, near_axis, axes=1, pairing=None):
     """Eval-mix's fold points: phi in (0.15, 0.4) and every folded pairing at
-    least 2e-3, so each takes the root sum; near an axis, one folded pairing
-    then falls below EPS_SWITCH, which takes the Taylor-filter branch."""
+    least 2e-3, so each takes the root sum; near an axis, ``axes`` folded
+    pairings then fall below EPS_SWITCH, which takes the Taylor-filter branch:
+    by factors below 1e-3 on both points, or onto a modulus drawn from
+    ``pairing`` = (lo, hi)."""
     exps = tuple(float(q) for q in p_list) + (p,)
 
     def draw():
@@ -239,9 +243,15 @@ def fold_draw(rng, p_list, p, near_axis):
         if all(abs(z[k] * w[k]) >= 2e-3 for k in range(len(p_list))):
             break
     if near_axis:
-        k = int(rng.integers(len(p_list)))
-        z[k] *= 1e-3 * rng.random()
-        w[k] *= 1e-3 * rng.random()
+        for k in (rng.choice(len(p_list), axes, replace=False) if axes > 1
+                  else [int(rng.integers(len(p_list)))]):
+            if pairing is None:
+                z[k] *= 1e-3 * rng.random()
+                w[k] *= 1e-3 * rng.random()
+            else:
+                shrink = math.sqrt(rng.uniform(*pairing) / abs(z[k] * w[k]))
+                z[k] *= shrink
+                w[k] *= shrink
     return KernelPoint(tuple(z), tuple(w))
 
 
@@ -249,13 +259,65 @@ def fold_draw(rng, p_list, p, near_axis):
                          ids=str)
 def test_fold_is_its_jet1_reference_bit_for_bit(p_list):
     rng = np.random.default_rng(20270 + len(p_list) + sum(p_list))
+    draws = []
     for i in range(60):
         p = rng.uniform(1.5, 4.0) if i % 6 else float(rng.choice((50.0, 400.0, 1000.0)))
-        pt = fold_draw(rng, p_list, p, near_axis=i % 2 == 1)
+        draws.append((p, fold_draw(rng, p_list, p, near_axis=i % 2 == 1)))
+    # where the filter's early stop is tightest: pairings just under EPS_SWITCH,
+    # two coordinates near an axis at once, and large p near an axis
+    for i in range(30):
+        p = rng.uniform(1.5, 4.0) if i % 3 else float(rng.choice((50.0, 400.0, 1000.0)))
+        axes = 1 + i % 2 * (len(p_list) > 1)
+        pairing = (1e-4, 1e-3) if i % 5 < 2 else None
+        draws.append((p, fold_draw(rng, p_list, p, True, axes, pairing)))
+    for p, pt in draws:
         shift = [int(s) for s in rng.integers(0, 5, len(p_list))]
         for choice in (None, shift):
             got = outcome(general_folded_kernel, p_list, p, pt, root_choice=choice)
             assert got == outcome(folded_reference, p_list, p, pt, choice), (p, pt, choice)
+
+
+def test_recip_power_jet_is_the_same_bits_at_any_order():
+    # the fold's filter stops a jet early and may extend it from its head
+    # later, so every coefficient must not depend on the order asked for
+    rng = np.random.default_rng(20284)
+    for i in range(120):
+        p = rng.uniform(0.5, 8.0) if i % 4 else float(rng.choice((50.0, 400.0, 1000.0)))
+        tau = rng.uniform(0.0, 0.5) * cmath.exp(2j * math.pi * rng.random())
+        y = rng.uniform(0.0, 0.4) ** p * cmath.exp(2j * math.pi * rng.random())
+        m, top = int(rng.integers(1, 4)), int(rng.integers(2, 68))
+        full = _recip_power_jet(tau, p, y, m, top)
+        for k in (1, int(rng.integers(1, top)), top - 1):
+            head = _recip_power_jet(tau, p, y, m, k)
+            assert outcome_list(head) == outcome_list(full[:k + 1]), (p, tau, y, m, k)
+            grown = _recip_power_jet(tau, p, y, m, top, head)
+            assert outcome_list(grown) == outcome_list(full), (p, tau, y, m, k)
+
+
+def outcome_list(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+def test_fold_filter_takes_the_full_order_only_where_a_term_may_show(monkeypatch):
+    # at a real point the sum's imaginary part is rounding noise, so no
+    # left-out term can be shown to be below its ulp: the full order, from the
+    # first combination on; at a complex point near an axis, the short order
+    orders = []
+    jet = kernels_module._recip_power_jet
+
+    def counting(tau, p, y, m, order, head=()):
+        orders.append(order)
+        return jet(tau, p, y, m, order, head)
+
+    monkeypatch.setattr(kernels_module, "_recip_power_jet", counting)
+    full = 3 + 11 * 2 - 1
+    for pt, want in ((KernelPoint((3e-4, 0.3, 0.01), (5e-4, 0.2, 0.01)), [10, full, full]),
+                     (KernelPoint((3e-4j, 0.3 + 0.1j, 0.01), (5e-4, 0.2j, 0.01 - 0.02j)),
+                      [10, 10])):
+        orders.clear()
+        got = outcome(general_folded_kernel, [2, 2], 2.7, pt)
+        assert got == outcome(folded_reference, [2, 2], 2.7, pt)
+        assert orders == want, (pt, orders)
 
 
 def test_fold_at_a_zero_pairing_is_its_reference_bit_for_bit():

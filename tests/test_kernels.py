@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bergman.domains import Block, DomainSpec, diagonal_domain
 from bergman.errors import (
+    DimensionMismatch,
     InvalidOrder,
     NonIntegerFold,
     OutsideDomain,
@@ -252,6 +253,18 @@ def test_pflate_rejects_zero_dimensions():
         pflate_kernel(0, 1, 2.0, (), (0.1,), (), (0.1,))
     with pytest.raises(InvalidOrder):
         pflate_kernel(1, 0, 2.0, (0.1,), (), (0.1,), ())
+
+
+def test_pflate_rejects_blocks_of_the_wrong_size():
+    # each block of each point has its own length; a right total is not enough
+    z, zz = (0.1,), (0.2, 0.1)
+    with pytest.raises(DimensionMismatch, match="n = 2, m = 1"):
+        pflate_kernel(2, 1, 3.0, z, zz, z, zz[::-1])
+    with pytest.raises(DimensionMismatch):
+        pflate_kernel(2, 1, 3.0, zz, z, z, zz)
+    with pytest.raises(DimensionMismatch):
+        pflate_kernel(2, 1, 3.0, zz, z, zz, (0.1, 0.2, 0.0))
+    assert pflate_kernel(2, 1, 3.0, zz, z, zz[::-1], z).formula == "pflate"
 
 
 # --------------------------------------------------------------- deflation

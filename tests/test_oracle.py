@@ -30,6 +30,7 @@ from bergman.oracle import (
     _MC_BLOCK,
     ReproducingResidual,
     _block_rng,
+    _phi_many,
     SeriesConfig,
     mc_volume,
     poly_eval,
@@ -317,6 +318,9 @@ def test_mc_phi_from_squared_radii_matches_complex_points():
             pts = np.sqrt(u) * np.exp(1j * theta)
             phi_old = phi_rows(d, np.abs(pts) ** 2)
             phi_u = phi_rows(d, u)
+            # the sampler's column sums are the bits of the slice sums here
+            assert _phi_many(d, u).tobytes() == phi_u.tobytes()
+            assert _phi_many(d, np.abs(pts) ** 2).tobytes() == phi_old.tobytes()
             worst = max(worst, float(np.max(np.abs(phi_u - phi_old))))
             guard = np.abs(phi_u - 1.0) < 1e-12
             assert np.array_equal(np.where(guard, phi_old < 1.0, phi_u < 1.0),
