@@ -382,11 +382,11 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     # b = (i+1) p_k - 1, i <= series_imax (i = 0 at a zero pairing); one fixed
     # order of terms, the first coordinate fastest, factors in coordinate order
     series_imax = 10
-    filt = [[(b, v[k] ** i / math.factorial(b)) for i, b in enumerate(range(
-        p_list[k] - 1, (series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
-        for k in reversed(series)]
-    terms = [(n + 1 + sum(b for b, _ in idx), [f for _, f in reversed(idx)])
-             for idx in itertools.product(*filt)]
+    terms = [(n + 1, [])]
+    for k in series:
+        filt = [(b, v[k] ** i / math.factorial(b)) for i, b in enumerate(range(
+            p_list[k] - 1, (series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
+        terms = [(deg + b, factors + [f]) for b, f in filt for deg, factors in terms]
     order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
     # a combination's jet stops at the last term that _filter_bounds cannot show
     # to be below a quarter ulp of both parts of the sum at its place; a term
