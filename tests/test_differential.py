@@ -30,9 +30,9 @@ from bergman.jets import (
 from bergman.kernels import (
     EPS_SWITCH,
     KernelPoint,
-    _recip_power_jet,
     _mixed_scale,
     _odd_quotient,
+    _recip_power_jet,
     ball_kernel,
     ball_kernel_values,
     general_folded_kernel,
@@ -259,22 +259,27 @@ def fold_draw(rng, p_list, p, near_axis, axes=1, pairing=None):
                          ids=str)
 def test_fold_is_its_jet1_reference_bit_for_bit(p_list):
     rng = np.random.default_rng(20270 + len(p_list) + sum(p_list))
-    draws = []
+
+    def check(p, pt):
+        shift = [int(s) for s in rng.integers(0, 5, len(p_list))]
+        for choice in (None, shift):
+            got = outcome(general_folded_kernel, p_list, p, pt, root_choice=choice)
+            assert got == outcome(folded_reference, p_list, p, pt, choice), (p, pt, choice)
+
     for i in range(60):
         p = rng.uniform(1.5, 4.0) if i % 6 else float(rng.choice((50.0, 400.0, 1000.0)))
-        draws.append((p, fold_draw(rng, p_list, p, near_axis=i % 2 == 1)))
+        check(p, fold_draw(rng, p_list, p, near_axis=i % 2 == 1))
     # where the filter's early stop is tightest: pairings just under EPS_SWITCH,
     # two coordinates near an axis at once, and large p near an axis
     for i in range(30):
         p = rng.uniform(1.5, 4.0) if i % 3 else float(rng.choice((50.0, 400.0, 1000.0)))
         axes = 1 + i % 2 * (len(p_list) > 1)
         pairing = (1e-4, 1e-3) if i % 5 < 2 else None
-        draws.append((p, fold_draw(rng, p_list, p, True, axes, pairing)))
-    for p, pt in draws:
-        shift = [int(s) for s in rng.integers(0, 5, len(p_list))]
-        for choice in (None, shift):
-            got = outcome(general_folded_kernel, p_list, p, pt, root_choice=choice)
-            assert got == outcome(folded_reference, p_list, p, pt, choice), (p, pt, choice)
+        check(p, fold_draw(rng, p_list, p, True, axes, pairing))
+
+
+def outcome_list(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
 
 
 def test_recip_power_jet_is_the_same_bits_at_any_order():
@@ -292,10 +297,6 @@ def test_recip_power_jet_is_the_same_bits_at_any_order():
             assert outcome_list(head) == outcome_list(full[:k + 1]), (p, tau, y, m, k)
             grown = _recip_power_jet(tau, p, y, m, top, head)
             assert outcome_list(grown) == outcome_list(full), (p, tau, y, m, k)
-
-
-def outcome_list(coeffs):
-    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
 
 
 def test_fold_filter_takes_the_full_order_only_where_a_term_may_show(monkeypatch):
