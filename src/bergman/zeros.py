@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import NoConvergence, PreconditionViolated
-from .jets import Jet1, jet1_variable
+from .jets import Jet1
 from .kernels import (
     _axis2_coefficients,
     _k2_cell_floor,
@@ -68,10 +68,21 @@ class ZeroReport:
 
 @dataclass(frozen=True)
 class SliceFunction:
-    """Holomorphic one-variable restriction; eval takes scalars and (array) jets."""
+    """Holomorphic one-variable restriction; eval takes scalars and (array)
+    jets, dlog, t f'(t)/f(t), scalars and arrays.  dlog defaults to t c1/c0
+    of the order-1 jet of eval."""
 
     eval: Callable[[complex | Jet1], complex | Jet1]
     description: str
+    dlog: Callable | None = None
+
+    def __post_init__(self):
+        if self.dlog is None:
+            object.__setattr__(self, "dlog", self._jet_dlog)
+
+    def _jet_dlog(self, t):
+        c0, c1 = self.eval(Jet1(t, (t, t ** 0))).coeffs  # t ** 0: 1, scalar or array
+        return c1 / c0 * t
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,17 @@ ODD_QUOTIENTS = {
 
 
 def _odd_quotient_slice(m: float, scale: float, description: str) -> SliceFunction:
+    """f and t f'/f, the latter free of overflow: f is even, and at u = +-t
+    with Re u >= 0, rho = ((1 - u)/(1 + u))^m has |rho| <= 1 and
+    t f'/f = m u [1/(1 - u) + rho/(1 + u)]/(1 - rho) - 1."""
+
+    def dlog(t):
+        u = t * (1.0 - 2.0 * (t.real < 0.0))
+        rho = ((1.0 - u) / (1.0 + u)) ** m
+        return m * u * (1.0 / (1.0 - u) + rho / (1.0 + u)) / (1.0 - rho) - 1.0
+
     return SliceFunction(eval=lambda t: _odd_quotient(1.0, m, scale, t),
-                         description=description)
+                         description=description, dlog=dlog)
 
 
 def axis1_slice(p: float) -> SliceFunction:
@@ -109,8 +129,11 @@ def axis1_slice(p: float) -> SliceFunction:
 
 def axis2_slice(p: float) -> SliceFunction:
     """K restricted to the first slice variable = 0, a rational function of y."""
+    a, b, c = _axis2_coefficients(p)
     return SliceFunction(eval=lambda y: axis_limit_kernel(p, y),
-                         description=f"axis-2 slice, fiber exponent {p}")
+                         description=f"axis-2 slice, fiber exponent {p}",
+                         dlog=lambda y: y * (2.0 * a * y + b) / ((a * y + b) * y + c)
+                         + 4.0 * y / (1.0 - y))
 
 
 def mixed_slice(n: int) -> SliceFunction:
@@ -144,20 +167,19 @@ def k2_axis_slice() -> SliceFunction:
 def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> complex:
     t = complex(seed)
     for _ in range(50):
-        jet = f.eval(jet1_variable(t, 1))
-        val, der = jet.coeffs[0], jet.coeffs[1]
-        if abs(val) < tol:
+        if abs(f.eval(t)) < tol:
             return t
-        if der == 0 or not (abs(t) < 2.0):
+        dlog = f.dlog(t) if 0.0 < abs(t) < 2.0 else 0  # t = 0 is a fixed point
+        if dlog == 0:
             break
-        t = t - val / der
+        t = t - t / dlog
     raise NoConvergence(f"Newton did not reach |f| < {tol} from seed {seed}")
 
 
 def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     """Argument-principle zero count inside |t| = radius.
 
-    Uniform (trapezoid) sums of f'/f * t / M over the circle, doubling M from
+    Uniform (trapezoid) sums of f.dlog(t) / M over the circle, doubling M from
     512 to _MAX_SAMPLES until two successive sums round to the same integer,
     the later within 1e-3 of it.  Off the zeros and poles of f the sum
     converges geometrically in M (Trefethen & Weideman, SIAM Rev. 2014); a
@@ -167,9 +189,9 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     part is 1/2 when |a| = r).  The sums nest: 2 pi k/M doubles exactly with
     k and M, so the even samples at 2M are the samples at M, bit for bit, and
     the sum at 2M adds only its M odd ones to the raw sum at M.  A count thus
-    evaluates f once at each of its final M points, on one order-1 array jet
-    per _BLOCK of them, under np.errstate(all="ignore"): an overflow reaches
-    the non-finite check silently.
+    evaluates f.dlog once at each of its final M points, on one array per
+    _BLOCK of them, under np.errstate(all="ignore"): an overflow reaches the
+    non-finite check silently.
     """
     import numpy as np
 
@@ -180,9 +202,7 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
         with np.errstate(all="ignore"):
             for k in range(step - 1, m, step * _BLOCK):
                 ks = np.arange(k, min(m, k + step * _BLOCK), step)
-                t = radius * np.exp(2j * math.pi * ks / m)
-                jet = f.eval(Jet1(t, (t, np.ones_like(t))))
-                acc += complex((jet.coeffs[1] / jet.coeffs[0] * t).sum())
+                acc += complex(f.dlog(radius * np.exp(2j * math.pi * ks / m)).sum())
         w = acc / m
         if not cmath.isfinite(w):
             raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {radius}")

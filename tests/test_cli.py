@@ -232,14 +232,23 @@ def test_zeros_count_mismatch_exit_4(monkeypatch, capsys):
     ("mixed", 40, 41)])
 def test_zeros_odd_quotient_formula(capsys, family, n, m):
     # the slice's constant grows like n!/pi^n, so no absolute |f| threshold
-    # finds these zeros; they are +-i tan(pi k/m) for 1 <= k < m/4.  The
-    # n = 40 simplex slice overflows on |t| = 0.999, not on its count's circle
+    # finds these zeros; they are +-i tan(pi k/m) for 1 <= k < m/4
     code, rec = run_json(capsys, ["zeros", "--family", family, "--n", str(n)])
     assert code == 0
     tans = [math.tan(math.pi * k / m) for k in range(1, m) if k < m / 4]
     assert [z["im"] for z in rec["zeros"]] == sorted(tans + [-s for s in tans])
     assert all(z["re"] == 0.0 for z in rec["zeros"])
     assert rec["winding_count"] == len(rec["zeros"])
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--family", "axis1", "--p", "160"], 80), (["--family", "simplex", "--n", "60"], 58),
+], ids=["axis1-160", "simplex-60"])
+def test_zeros_past_the_jet_overflow_exits_0(capsys, argv, count):
+    # (1 -+ t)^-m overflows on these counts' circles; t f'/f does not
+    code, rec = run_json(capsys, ["zeros"] + argv)
+    assert code == 0
+    assert len(rec["zeros"]) == rec["winding_count"] == count
 
 
 def test_odd_quotient_predicate_is_paper_threshold():
@@ -557,9 +566,6 @@ BAD_INPUTS = [
     # m = p + 2 above 4,000 is refused before any zero is listed
     ("zeros-huge-p", ["zeros", "--family", "axis1", "--p", "1e300"], 2,
      "error: exponent m = 1e+300 exceeds 4000"),
-    # the n = 60 slice overflows on its count's circle
-    ("zeros-nonfinite-winding", ["zeros", "--family", "simplex", "--n", "60"], 2,
-     "error: winding sum is not finite"),
     ("zeros-k2-res4", ["zeros", "--family", "k2", "--res", "4"], 2),
     ("zeros-k2-res-cap", ["zeros", "--family", "k2", "--res", "100000"], 2),
     # below res 4 no signed-radius pair of the k2 grid is admissible

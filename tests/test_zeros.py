@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bergman import zeros as zeros_module
 from bergman.errors import NoConvergence, PreconditionViolated
-from bergman.jets import Jet1, jet1_variable, jet_rpow
+from bergman.jets import Jet1, jet1_variable
 from bergman.kernels import (
     _k2_cell_floor,
     axis_limit_kernel,
@@ -152,12 +152,20 @@ def test_newton_no_convergence_flat_function():
         newton_refine(f, 0j)
 
 
+def test_newton_from_zero_reports_no_convergence():
+    # t = 0 is a fixed point of t <- t - t/dlog(t); dlog of the odd quotient
+    # is 0/0 there, so Newton stops before evaluating it
+    for slc in (axis1_slice(4.0), simplex_slice(3), axis2_slice(3.0)):
+        with pytest.raises(NoConvergence):
+            newton_refine(slc, 0j)
+
+
 def test_newton_no_convergence_escaping_iterate():
-    # 1/(1-t) has no zeros; the iterates run away and trip the travel guard
-    f = SliceFunction(eval=lambda t: jet_rpow(1.0 - t, -1.0),
-                      description="zero-free rational")
+    # 1/(1-t) has no zeros; Newton's map is t -> 2t - 1, so the iterates from
+    # 0.3j run away and trip the travel guard (from 0 they would not move)
+    f = SliceFunction(eval=lambda t: (1.0 - t) ** -1.0, description="zero-free rational")
     with pytest.raises(NoConvergence):
-        newton_refine(f, 0j)
+        newton_refine(f, 0.3j)
 
 
 # ------------------------------------------------------------------ winding
@@ -189,18 +197,23 @@ def test_winding_rejects_bad_radius():
         count_zeros_winding(f, 0.0)
 
 
-def test_winding_non_finite_sum():
-    # the n = 40 simplex slice overflows to inf near t = +-0.999
-    with pytest.raises(NoConvergence, match="not finite"):
-        count_zeros_winding(simplex_slice(40), 0.999)
+def test_winding_simplex_40_counts_38():
+    # (1 -+ t)^-80 overflows near t = +-0.999, but t f'/f takes only
+    # ((1 - u)/(1 + u))^m at Re u >= 0, of modulus at most 1
+    assert count_zeros_winding(simplex_slice(40), 0.999) == 38
 
 
-def test_winding_non_finite_sum_warns_nothing():
-    # the array evaluation overflows silently; only NoConvergence reports it
+def test_winding_simplex_40_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NoConvergence, match="not finite"):
-            count_zeros_winding(simplex_slice(40), 0.999)
+        assert count_zeros_winding(simplex_slice(40), 0.999) == 38
+
+
+def test_winding_axis1_contour_through_zero():
+    # |t| = tan(pi/m) passes through the innermost zeros +-i tan(pi/m)
+    for p in (4.0, 7.3):
+        with pytest.raises(NoConvergence):
+            count_zeros_winding(axis1_slice(p), math.tan(math.pi / (p + 2.0)))
 
 
 def _odd_quotient_count(m):
@@ -250,6 +263,48 @@ def test_slice_on_array_jet_matches_scalar_jets(make, r):
         val, der = slc.eval(jet1_variable(complex(tk), 1)).coeffs
         assert abs(got.coeffs[0][k] - val) <= 1e-12 * max(abs(val), abs(der) * h)
         assert abs(got.coeffs[1][k] - der) <= 1e-12 * abs(der)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.999])
+@pytest.mark.parametrize("make", [row[1] for row in ARRAY_SLICES],
+                         ids=[row[0] for row in ARRAY_SLICES])
+def test_dlog_matches_order1_jet(make, r):
+    # t f'/f of each library slice against t c1/c0 of its order-1 jet, on the
+    # winding count's 2048-point contour, as an array and point by point
+    slc = make()
+    t = r * np.exp(2j * np.pi * np.arange(2048) / 2048)
+    jet = slc.eval(Jet1(t, (t, np.ones_like(t))))
+    ref = jet.coeffs[1] / jet.coeffs[0] * t
+    got = slc.dlog(t)
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
+    for k in range(0, 2048, 7):
+        val, der = slc.eval(jet1_variable(complex(t[k]), 1)).coeffs
+        want = der / val * complex(t[k])
+        assert abs(slc.dlog(complex(t[k])) - want) <= 1e-10 * max(abs(want), 1.0)
+
+
+def _jet_rule(slc):
+    """The same slice without its dlog: t f'/f from the order-1 jet."""
+    return SliceFunction(eval=slc.eval, description=slc.description)
+
+
+def test_dlog_count_matches_jet_rule_count():
+    # wherever the jet rule's count returns (its powers overflow at large m),
+    # the closed-form t f'/f counts the same
+    cases = [(axis1_slice(k / 4.0), r) for k in range(1, 401, 6)
+             for r in (0.5, 0.9, 0.99, 0.999)]
+    cases += [(axis2_slice(k / 4.0), r) for k in range(1, 41, 3) for r in (0.5, 0.999)]
+    cases += [(make(n), r) for make in (simplex_slice, mixed_slice)
+              for n in range(2, 61, 3) for r in (0.9, 0.999)]
+    compared = 0
+    for slc, r in cases:
+        try:
+            want = count_zeros_winding(_jet_rule(slc), r)
+        except NoConvergence:
+            continue
+        assert count_zeros_winding(slc, r) == want, (slc.description, r)
+        compared += 1
+    assert compared > 0.9 * len(cases)
 
 
 def test_winding_tiny_constant_counts_zero():
@@ -349,6 +404,26 @@ def test_axis1_locus_non_integer():
 def test_axis1_locus_rejects_nonpositive_exponent():
     with pytest.raises(PreconditionViolated):
         axis1_zero_locus(0.0)
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: axis1_zero_locus(160.0), 80),
+    (lambda: odd_quotient_zero_locus(*(f(60) for f in ODD_QUOTIENTS["simplex"])), 58),
+], ids=["axis1-160", "simplex-60"])
+def test_odd_quotient_locus_certifies_past_the_jet_overflow(make, count):
+    # (1 -+ t)^-m overflows on these loci's circles; t f'/f does not
+    rep = make()
+    assert len(rep.zeros) == rep.count_by_winding == count
+
+
+@pytest.mark.parametrize("p", [30.02, 34.0, 98.02, 398.02, 4000.02])
+def test_axis1_count_at_report_radius_matches_closed_form(p):
+    # r = (1 + max |zero|)/2 as a report takes it; p = 4000.02 lies past the
+    # locus cap, so its radius comes from the outermost closed-form zero
+    m = p + 2.0
+    count = _odd_quotient_count(m)
+    r = (1.0 + math.tan(math.pi * (count // 2) / m)) / 2.0
+    assert count_zeros_winding(axis1_slice(p), r) == count
 
 
 def test_odd_quotient_locus_caps_the_listed_zeros():
@@ -669,6 +744,23 @@ def test_polar_scan_seeds_both_cells_of_a_tie(slc, count):
     # than the winding count (3/4, 1/2, 2/4 on a scalar grid, 5/6 on numpy's)
     rep = grid_zero_scan(slc, 50)
     assert len(rep.zeros) == rep.count_by_winding == count
+
+
+@pytest.mark.parametrize("tol, near", [(1e-9, 1e-11), (1e-12, 1e-12)])
+@pytest.mark.parametrize("family, n", [("simplex", n) for n in (2, 3, 4, 5)]
+                         + [("mixed", n) for n in (3, 4, 5, 6)])
+def test_polar_scan_newton_lands_on_closed_form_zeros(family, n, tol, near):
+    # Newton steps t <- t - t/dlog(t) to +-i tan(pi k/m), 1 <= k < m/4; it
+    # stops once |f| < tol, so at tol = 1e-9 a zero may lie 4e-12 off
+    m = ODD_QUOTIENTS[family][0](n)
+    slc = {"simplex": simplex_slice, "mixed": mixed_slice}[family](n)
+    rep = grid_zero_scan(slc, 48, tol=tol)
+    want = [s * 1j * math.tan(math.pi * k / m)
+            for k in range(1, math.ceil(m / 4.0)) if k < m / 4.0 for s in (1, -1)]
+    assert len(rep.zeros) == len(want) == rep.count_by_winding
+    for q in want:
+        assert min(abs(z.location - q) for z in rep.zeros) <= near
+    assert all(z.residual <= tol for z in rep.zeros)
 
 
 # ----------------------------------------------- independent certification
