@@ -29,7 +29,6 @@ from .errors import (
 )
 from .jets import (
     Jet1,
-    Jet2,
     derivative_extract,
     jet1_const,
     jet1_variable,
@@ -93,7 +92,7 @@ __all__ = [
     "BergmanError", "DimensionMismatch", "InvalidOrder",
     "NoConvergence", "NonIntegerFold", "OutsideDomain", "PoleHit",
     "PreconditionViolated", "SchemaError", "UnsupportedDomain",
-    "Jet1", "Jet2", "derivative_extract", "jet1_const", "jet1_variable",
+    "Jet1", "derivative_extract", "jet1_const", "jet1_variable",
     "jet_rpow", "partial_extract",
     "CircularKernelProfile", "KernelPoint", "KernelValue",
     "axis_limit_kernel", "ball_kernel", "deflation_constant", "deflation_pair",

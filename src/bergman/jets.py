@@ -4,8 +4,10 @@ Every derivative that appears in a kernel formula is realized by building the
 relevant rational expression in jet arithmetic and reading off a coefficient.
 This is exact up to rounding: no symbolic algebra, no finite differences.
 
-An order-1 Jet1 may hold same-shape numpy arrays, one jet for a batch of points,
-so the winding count runs each slice formula once per block of contour points.
+An order-1 Jet1 may hold same-shape numpy arrays, one jet for a batch of points:
+the default t f'/f of a slice built from its eval alone takes one per block of
+contour points.  A two-variable jet is a Jet1 in u whose coefficients are Jet1s
+in t (jets of jets), so it needs no arithmetic of its own.
 
 Each recurrence is written once, on coefficient lists (_mul1, _div1, _rpow1,
 _factorial_times); Jet1's operators and the kernels' closed forms call them.
@@ -25,9 +27,26 @@ from .errors import (
 _ZERO_EPS = 1e-300
 
 
-class _JetOps:
-    """The operators of Jet1 and Jet2: jet_arith on the jet and the other
-    operand, which the class's _lift turns into a jet like it."""
+@dataclass(frozen=True)
+class Jet1:
+    """Taylor coefficients c_0..c_N of a function of one variable at ``center``.
+    At order 1 these may be numpy arrays (a batch, see the module docstring)
+    whose jets share one center object, so combining them compares no arrays.
+    They may also be jets in a second variable (a two-variable jet, see
+    jet2_lift_t).  Every operator is jet_arith on the jet and the other
+    operand, which _lift turns into a jet like it."""
+
+    center: complex
+    coeffs: tuple[complex, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def _lift(self, value) -> Jet1:
+        if isinstance(value, Jet1):
+            return value
+        return Jet1(self.center, (complex(value),) + (0j,) * self.order)
 
     def __add__(self, other):
         return jet_arith(self, self._lift(other), "add")
@@ -53,25 +72,6 @@ class _JetOps:
     def __rtruediv__(self, other):
         return jet_arith(self._lift(other), self, "div")
 
-
-@dataclass(frozen=True)
-class Jet1(_JetOps):
-    """Taylor coefficients c_0..c_N of a function of one variable at ``center``;
-    at order 1 these may be numpy arrays (a batch, see the module docstring)
-    whose jets share one center object, so combining them compares no arrays."""
-
-    center: complex
-    coeffs: tuple[complex, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _lift(self, value) -> Jet1:
-        if isinstance(value, Jet1):
-            return value
-        return Jet1(self.center, (complex(value),) + (0j,) * self.order)
-
     def __pow__(self, n):
         # whole non-negative ints multiply out; any other real goes through
         # jet_rpow, so write a float exponent (x ** 4.0) to take the recurrence
@@ -86,26 +86,6 @@ class Jet1(_JetOps):
         return Jet1(self.center, tuple(-c for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class Jet2(_JetOps):
-    """Coefficients c_{k,l} of a function of (t,u) at ``center``, row-major in k."""
-
-    center: tuple[complex, complex]
-    coeffs: tuple[tuple[complex, ...], ...]
-
-    @property
-    def orders(self) -> tuple[int, int]:
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
-
-    def _lift(self, value) -> Jet2:
-        if isinstance(value, Jet2):
-            return value
-        return jet2_const(value, self.orders, self.center)
-
-    def __neg__(self):
-        return Jet2(self.center, tuple(tuple(-c for c in row) for row in self.coeffs))
-
-
 def jet1_const(value: complex, order: int, center: complex = 0j) -> Jet1:
     return Jet1(complex(center), (complex(value),) + (0j,) * order)
 
@@ -118,48 +98,30 @@ def jet1_variable(center: complex, order: int) -> Jet1:
     return Jet1(c, (c, 1 + 0j) + (0j,) * (order - 1))
 
 
-def jet2_const(value: complex, orders: tuple[int, int],
-               center: tuple[complex, complex] = (0j, 0j)) -> Jet2:
-    nt, nu = orders
-    rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
-    rows[0][0] = complex(value)
-    return Jet2((complex(center[0]), complex(center[1])),
-                tuple(tuple(r) for r in rows))
-
-
-def jet2_variable_u(center: tuple[complex, complex], orders: tuple[int, int]) -> Jet2:
-    nt, nu = orders
-    rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
-    rows[0][0] = complex(center[1])
+def jet2_variable_u(center: tuple[complex, complex], orders: tuple[int, int]) -> Jet1:
+    """The identity function u as a two-variable jet (see jet2_lift_t) at
+    ``center`` = (t0, u0), to ``orders`` = (order in t, order in u)."""
+    (t0, u0), (nt, nu) = center, orders
+    coeffs = [jet1_const(0j, nt, t0)] * (nu + 1)
+    coeffs[0] = jet1_const(u0, nt, t0)
     if nu >= 1:
-        rows[0][1] = 1 + 0j
-    return Jet2((complex(center[0]), complex(center[1])),
-                tuple(tuple(r) for r in rows))
+        coeffs[1] = jet1_const(1.0, nt, t0)
+    return Jet1(complex(u0), tuple(coeffs))
 
 
-def jet2_lift_t(a: Jet1, u_center: complex, u_order: int) -> Jet2:
-    """Embed a jet in t as a two-variable jet that does not depend on u."""
-    rows = [[0j] * (u_order + 1) for _ in range(a.order + 1)]
-    for k, c in enumerate(a.coeffs):
-        rows[k][0] = c
-    return Jet2((a.center, complex(u_center)), tuple(tuple(r) for r in rows))
+def jet2_lift_t(a: Jet1, u_center: complex, u_order: int) -> Jet1:
+    """Embed a jet in t as a two-variable jet that does not depend on u.
 
-
-def _check1(a: Jet1, b: Jet1) -> None:
-    if a.order != b.order or (a.center is not b.center and a.center != b.center):
-        raise CenterMismatch(
-            f"jet mismatch: centers {a.center} vs {b.center}, "
-            f"orders {a.order} vs {b.order}")
-
-
-def _check2(a: Jet2, b: Jet2) -> None:
-    if a.center != b.center or a.orders != b.orders:
-        raise CenterMismatch(
-            f"jet mismatch: centers {a.center} vs {b.center}, "
-            f"orders {a.orders} vs {b.orders}")
+    A two-variable jet is a jet in u whose coefficients are jets in t.  With u
+    outside and t inside, 1/(b - u) divides by the jet b in t once per order of
+    u, as pflate_kernel does."""
+    zero = Jet1(a.center, (0j,) * len(a.coeffs))
+    return Jet1(complex(u_center), (a,) + (zero,) * u_order)
 
 
 def _near_zero(c) -> bool:
+    if isinstance(c, Jet1):  # a coefficient of a two-variable jet
+        return _near_zero(c.coeffs[0])
     small = abs(c) < _ZERO_EPS  # at any entry, for an array c
     return small if isinstance(small, bool) else bool(small.any())
 
@@ -190,58 +152,23 @@ def _div1(a: tuple[complex, ...], b: tuple[complex, ...], head=()) -> list[compl
     return out
 
 
-def jet_arith(a, b, op: str):
-    """Pointwise add/sub/mul/div of two jets of the same kind, center, and order."""
-    if isinstance(a, Jet1) and isinstance(b, Jet1):
-        _check1(a, b)
-        if op == "add":
-            out = [x + y for x, y in zip(a.coeffs, b.coeffs)]
-        elif op == "sub":
-            out = [x - y for x, y in zip(a.coeffs, b.coeffs)]
-        elif op == "mul":
-            out = _mul1(a.coeffs, b.coeffs)
-        elif op == "div":
-            out = _div1(a.coeffs, b.coeffs)
-        else:
-            raise ValueError(f"unknown op {op!r}")
-        return Jet1(a.center, tuple(out))
-    if isinstance(a, Jet2) and isinstance(b, Jet2):
-        _check2(a, b)
-        nt, nu = a.orders
-        if op == "add":
-            rows = [[a.coeffs[k][l] + b.coeffs[k][l] for l in range(nu + 1)]
-                    for k in range(nt + 1)]
-        elif op == "sub":
-            rows = [[a.coeffs[k][l] - b.coeffs[k][l] for l in range(nu + 1)]
-                    for k in range(nt + 1)]
-        elif op == "mul":
-            rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
-            for k in range(nt + 1):
-                for l in range(nu + 1):
-                    s = 0j
-                    for i in range(k + 1):
-                        for j in range(l + 1):
-                            s += a.coeffs[i][j] * b.coeffs[k - i][l - j]
-                    rows[k][l] = s
-        elif op == "div":
-            if abs(b.coeffs[0][0]) < _ZERO_EPS:
-                raise DivisionByZeroJet(
-                    "divisor jet has (numerically) zero constant term")
-            rows = [[0j] * (nu + 1) for _ in range(nt + 1)]
-            # graded back-substitution: every term on the right is already known
-            for k in range(nt + 1):
-                for l in range(nu + 1):
-                    s = a.coeffs[k][l]
-                    for i in range(k + 1):
-                        for j in range(l + 1):
-                            if i == 0 and j == 0:
-                                continue
-                            s -= b.coeffs[i][j] * rows[k - i][l - j]
-                    rows[k][l] = s / b.coeffs[0][0]
-        else:
-            raise ValueError(f"unknown op {op!r}")
-        return Jet2(a.center, tuple(tuple(r) for r in rows))
-    raise CenterMismatch(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+def jet_arith(a: Jet1, b: Jet1, op: str) -> Jet1:
+    """Pointwise add/sub/mul/div of two jets of the same center and order."""
+    if a.order != b.order or (a.center is not b.center and a.center != b.center):
+        raise CenterMismatch(
+            f"jet mismatch: centers {a.center} vs {b.center}, "
+            f"orders {a.order} vs {b.order}")
+    if op == "add":
+        out = [x + y for x, y in zip(a.coeffs, b.coeffs)]
+    elif op == "sub":
+        out = [x - y for x, y in zip(a.coeffs, b.coeffs)]
+    elif op == "mul":
+        out = _mul1(a.coeffs, b.coeffs)
+    elif op == "div":
+        out = _div1(a.coeffs, b.coeffs)
+    else:
+        raise ValueError(f"unknown op {op!r}")
+    return Jet1(a.center, tuple(out))
 
 
 def _rpow1(a, r: float) -> list[complex]:
@@ -285,10 +212,11 @@ def derivative_extract(a: Jet1, k: int) -> complex:
     return _factorial_times(a.coeffs[k], k)
 
 
-def partial_extract(a: Jet2, k: int, l: int) -> complex:
-    """Mixed partial d^{k+l}/dt^k du^l at the center: k! * l! * c_{k,l}."""
-    nt, nu = a.orders
+def partial_extract(a: Jet1, k: int, l: int) -> complex:
+    """Mixed partial d^{k+l}/dt^k du^l of a two-variable jet at its center:
+    k! * l! * c_{k,l}, c_{k,l} the coefficient k of the coefficient l."""
+    nt, nu = a.coeffs[0].order, a.order
     if k > nt or l > nu or k < 0 or l < 0:
         raise OrderExceeded(
             f"partial order ({k},{l}) exceeds stored orders ({nt},{nu})")
-    return _factorial_times(_factorial_times(a.coeffs[k][l], k), l)
+    return _factorial_times(_factorial_times(a.coeffs[l].coeffs[k], k), l)

@@ -561,11 +561,25 @@ def _mixed_scale(n: int) -> float:
 
 
 def _odd_quotient(a, m: float, scale: float, t):
-    """scale * [(a - t)^-m - (a + t)^-m] / (4t) on scalars and jets; odd in t,
-    so for |t| < EPS_SWITCH it is scale times the _odd_limit of (a - t)^-m."""
-    if isinstance(t, Jet1) or abs(t) >= EPS_SWITCH:
-        return scale * ((a - t) ** -m - (a + t) ** -m) / (4.0 * t)
-    return scale * _odd_limit(_rpow1([complex(a), -1 + 0j, 0j, 0j, 0j, 0j], -m), t)
+    """scale * [(a - t)^-m - (a + t)^-m] / (4t) on scalars, arrays and jets; odd
+    in t, so for |t| < EPS_SWITCH it is scale times the _odd_limit of (a - t)^-m.
+    An array entry takes the branch, and the bits, of that entry alone: numpy's
+    whole-array abs and products may round apart from its scalar ones, so the
+    entries within ulps of EPS_SWITCH and the limit go entry by entry."""
+    small = not isinstance(t, Jet1) and abs(t) < EPS_SWITCH
+    u = t
+    if getattr(small, "ndim", 0):
+        import numpy as np
+
+        for i in np.flatnonzero(abs(abs(t) - EPS_SWITCH) < 1e-15 * EPS_SWITCH):
+            small.flat[i] = abs(t.flat[i]) < EPS_SWITCH
+        u = np.where(small, EPS_SWITCH, t)  # a stand-in where the limit goes
+    elif small:
+        return scale * _odd_limit(_rpow1([complex(a), -1 + 0j, 0j, 0j, 0j, 0j], -m), t)
+    out = scale * ((a - u) ** -m - (a + u) ** -m) / (4.0 * u)
+    if u is not t:
+        out[small] = [_odd_quotient(a, m, scale, x) for x in t[small]]
+    return out
 
 
 def _odd_limit(c, t):

@@ -68,7 +68,7 @@ class ZeroReport:
 
 @dataclass(frozen=True)
 class SliceFunction:
-    """Holomorphic one-variable restriction; eval takes scalars and (array)
+    """Holomorphic one-variable restriction; eval takes scalars, arrays and
     jets, dlog, t f'(t)/f(t), scalars and arrays.  dlog defaults to t c1/c0
     of the order-1 jet of eval."""
 
@@ -294,7 +294,7 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     """Grid modulus scan.
 
     For a SliceFunction: takes |f| on the polar grid of |t| <= 1 -
-    DEFAULT_SCAN_MARGIN from one order-1 array jet, refines every cell below
+    DEFAULT_SCAN_MARGIN from one array evaluation, refines every cell below
     tol or no larger than its radial and angular neighbours (non-strict, so
     both of two mirrored cells that tie up to rounding seed) by Newton, and
     keeps roots certified by |f| < tol.  For a TwoVarSlice: takes |f| over
@@ -312,7 +312,7 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     rs = [rmax * (i + 1) / resolution for i in range(resolution)]
     thetas = [2.0 * math.pi * j / resolution for j in range(resolution)]
     t = np.outer(rs, np.exp(1j * np.array(thetas)))
-    mods = np.abs(slc.eval(Jet1(t, (t, np.ones_like(t)))).coeffs[0])
+    mods = np.abs(slc.eval(t))
     seed = (mods <= np.roll(mods, 1, axis=1)) & (mods <= np.roll(mods, -1, axis=1))
     seed[1:] &= mods[1:] <= mods[:-1]
     seed[:-1] &= mods[:-1] <= mods[1:]

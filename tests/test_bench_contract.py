@@ -4,10 +4,15 @@
 and its CLI (``bergman zeros --family k2 --res N`` among them).  A rename or a
 dropped option would fail a benchmark op, which no other test runs, so this
 test runs each workload's first cycle at seed 1 and requires every gate to
-pass.  Nothing under ``perfbench/`` is changed.
+pass.  A traced run goes through the tracer's hooks on the package too: it
+reads ``jet_arith``'s arguments and rebuilds each slice from its ``eval``.
+Nothing under ``perfbench/`` is changed.
 """
 
+import json
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -31,3 +36,20 @@ def test_first_cycle_passes_every_gate(name):
         assert ops > 0
     finally:
         load.close()
+
+
+def test_traced_run_reports_every_layer_metric(tmp_path):
+    # a copy, so the run's span file lands in tmp_path, not in perfbench/out
+    for part in ("perfbench", "src"):
+        shutil.copytree(os.path.join(ROOT, part), tmp_path / part,
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+    run_py = str(tmp_path / "perfbench" / "run.py")
+    done = subprocess.run(
+        [sys.executable, run_py, "--workload", "zeros-certify", "--seed", "1",
+         "--seconds", "0.001", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, check=True)
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        names = {m["name"] for m in json.load(handle)["per_layer"]}
+    assert names <= set(last["metrics"])

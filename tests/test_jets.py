@@ -98,13 +98,13 @@ def test_derivative_extract_disc_profile():
 def test_jet2_hand_expansion():
     # 1/((1-t)^2 - u) = 1 + 2t + u + 3t^2 + 4tu + u^2 + ...
     f = rational_jet2(2.0, 0j, 0j, 3, 2)
-    assert f.coeffs[0][0] == pytest.approx(1)
-    assert f.coeffs[1][0] == pytest.approx(2)
-    assert f.coeffs[0][1] == pytest.approx(1)
-    assert f.coeffs[2][0] == pytest.approx(3)
-    assert f.coeffs[1][1] == pytest.approx(4)
-    assert f.coeffs[3][0] == pytest.approx(4)
-    assert f.coeffs[2][1] == pytest.approx(10)
+    assert f.coeffs[0].coeffs[0] == pytest.approx(1)
+    assert f.coeffs[0].coeffs[1] == pytest.approx(2)
+    assert f.coeffs[1].coeffs[0] == pytest.approx(1)
+    assert f.coeffs[0].coeffs[2] == pytest.approx(3)
+    assert f.coeffs[1].coeffs[1] == pytest.approx(4)
+    assert f.coeffs[0].coeffs[3] == pytest.approx(4)
+    assert f.coeffs[1].coeffs[2] == pytest.approx(10)
     assert partial_extract(f, 2, 0) == pytest.approx(6)
 
 
@@ -227,6 +227,31 @@ def test_center_mismatch():
 def test_division_by_zero_jet():
     with pytest.raises(DivisionByZeroJet):
         jet_arith(j(1, 1), j(0, 1), "div")
+
+
+def test_two_variable_mismatch():
+    # the jets in t inside two two-variable jets must share center and order
+    base = jet_rpow(1.0 - jet1_variable(0.1j, 3), 2.0)
+    for t0, nt in ((0.2j, 3), (0.1j, 2)):
+        with pytest.raises(CenterMismatch):
+            jet2_lift_t(base, 0.3, 2) - jet2_variable_u((t0, 0.3), (nt, 2))
+
+
+def test_two_variable_division_by_zero_jet():
+    # (1 - t)^2 - u at (0, 1) has constant term 0
+    base = jet_rpow(1.0 - jet1_variable(0j, 3), 2.0)
+    with pytest.raises(DivisionByZeroJet):
+        1.0 / (jet2_lift_t(base, 1.0, 2) - jet2_variable_u((0j, 1.0), (3, 2)))
+
+
+def test_public_names_resolve():
+    # every name in bergman.__all__ exists, so `from bergman import *` works
+    import bergman
+
+    assert [n for n in bergman.__all__ if not hasattr(bergman, n)] == []
+    namespace = {}
+    exec("from bergman import *", namespace)
+    assert set(bergman.__all__) <= set(namespace)
 
 
 def test_branch_point():

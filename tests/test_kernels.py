@@ -21,6 +21,7 @@ from bergman.jets import Jet1, jet1_const, jet1_variable
 from bergman.kernels import (
     EPS_SWITCH,
     KernelPoint,
+    _odd_quotient,
     axis_limit_kernel,
     ball_kernel,
     ball_kernel_values,
@@ -516,6 +517,22 @@ def test_mixed_family_hermitian():
             fwd = mixed_family_kernel(n, z, w).value
             rev = mixed_family_kernel(n, w, z).value
             assert abs(fwd - rev.conjugate()) <= 1e-11 * abs(fwd)
+
+
+@pytest.mark.parametrize("a, m, scale", [(1.0, 10.0, 0.37), (1.0, 5.5, 1.3), (0.7, 4.0, 2.0)])
+def test_odd_quotient_array_matches_its_scalar_entries(a, m, scale):
+    # entries on both sides of EPS_SWITCH, within ulps of it, and 0: each keeps
+    # the bits the scalar path gives it (fed numpy's scalar, since a Python
+    # complex power or quotient rounds apart from numpy's in the direct form)
+    rng = np.random.default_rng(31)
+    r = np.concatenate([rng.uniform(0.0, 2.0 * EPS_SWITCH, 600),
+                        EPS_SWITCH * (1.0 + rng.integers(-6, 7, 199) * 2.0 ** -53), [0.0]])
+    t = (r * np.exp(2j * np.pi * rng.random(r.size))).reshape(20, 40)
+    small = np.abs(t) < EPS_SWITCH
+    assert small.any() and not small.all()
+    got = _odd_quotient(a, m, scale, t)
+    want = np.array([_odd_quotient(a, m, scale, x) for x in t.ravel()]).reshape(t.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mixed_family_rejects_outside_ball():
