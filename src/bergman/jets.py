@@ -137,14 +137,13 @@ def _mul1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
     return out
 
 
-def _div1(a: tuple[complex, ...], b: tuple[complex, ...], head=()) -> list[complex]:
-    """a / b to the order of a.  ``head`` may hold the first coefficients of the
-    quotient, from a lower-order call: the rest follow from them, the same bits."""
+def _div1(a: tuple[complex, ...], b: tuple[complex, ...]) -> list[complex]:
+    """a / b to the order of a."""
     if _near_zero(b[0]):
         raise DivisionByZeroJet("divisor jet has (numerically) zero constant term")
     n = len(a)
-    out = list(head) or [a[0] / b[0]]
-    for k in range(len(out), n):
+    out = [a[0] / b[0]]
+    for k in range(1, n):
         s = a[k]
         for j in range(1, k + 1):
             s = s - b[j] * out[k - j]

@@ -13,6 +13,7 @@ coefficient lists (_recip_power_jet, _rpow1) and run on a jet only if passed one
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 
 from .domains import Block, DomainSpec, _block_phi, contains, diagonal_domain, gamma_fn
 from .errors import (
+    BranchPointJet,
     DimensionMismatch,
     InvalidOrder,
     NonIntegerFold,
@@ -28,10 +30,9 @@ from .errors import (
     UnsupportedDomain,
 )
 from .jets import (
+    _ZERO_EPS,
     Jet1,
-    _div1,
     _factorial_times,
-    _near_zero,
     _rpow1,
     derivative_extract,
     jet1_const,
@@ -118,16 +119,31 @@ def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
                      head=()) -> list[complex]:
     """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
     b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits.
+    The base 1 - tau - t is linear, so only the j = 1 term of _rpow1's sum is
+    not zero, and it is added to 0j as there; the divisions are _div1's sums.
     Every coefficient is the same at any order, so the last division may start
     from ``head``, the result of a lower-order call.
     An interior b_0 reads 0 only where (1-tau)^p underflows, so K overflows there."""
-    b = _rpow1([(1 + 0j) - complex(tau), -1 + 0j] + [0j] * (order - 1), p)
-    b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
-    if _near_zero(b[0]):
+    a0 = (1 + 0j) - complex(tau)
+    if abs(a0) < _ZERO_EPS:
+        raise BranchPointJet("jet constant term sits on the branch point of ^r")
+    b = [a0 ** p]
+    for k in range(1, order + 1):
+        s = 0j
+        s += (p + 1 - k) * (-1 + 0j) * b[k - 1]
+        b.append(s / (k * a0))
+    b0 = b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
+    if abs(b0) < _ZERO_EPS:
         raise OverflowError(f"(1 - tau)^p underflows to 0 at p = {p}, tau = {tau}")
     g = [1 + 0j] + [0j] * order
     for i in range(m):
-        g = _div1(g, b, head if i == m - 1 else ())
+        out = list(head) if head and i == m - 1 else [g[0] / b0]
+        for k in range(len(out), order + 1):
+            s = g[k]
+            for j in range(1, k + 1):
+                s = s - b[j] * out[k - j]
+            out.append(s / b0)
+        g = out
     return g
 
 
@@ -216,9 +232,8 @@ def fold(L: CircularKernelProfile, p: int) -> CircularKernelProfile:
         if abs(t0) >= 1e-2:
             s = jet_rpow(t, 1.0 / p)
             acc = jet1_const(0.0, t.order, t.center)
-            for j in range(1, p + 1):
+            for om_bar in _conj_roots(p):
                 # the root factor rides inside a conjugated pairing
-                om_bar = cmath.exp(-2j * math.pi * j / p)
                 acc = acc + om_bar * L.eval(z, w, s * om_bar)
             return acc / (p * p * jet_rpow(s, p - 1.0))
         # removable-singularity branch: Taylor-filter the unfolded profile
@@ -331,6 +346,16 @@ def deflation_pair(base: DomainSpec, p: float, q: float):
     return lhs, rhs, constant
 
 
+# 171! is the least factorial above the largest double.
+_BIG_DEG = 171
+
+
+@functools.lru_cache(maxsize=64)
+def _conj_roots(p: int) -> tuple[complex, ...]:
+    """conj(omega)^j for j = 1..p, omega = exp(2 pi i / p): a fold's root factors."""
+    return tuple(cmath.exp(-2j * math.pi * j / p) for j in range(1, p + 1))
+
+
 def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
                           root_choice: Sequence[int] | None = None) -> KernelValue:
     """Kernel of |z_1|^(2/p_1) + ... + |z_n|^(2/p_n) + |z_{n+1}|^(2/p) < 1.
@@ -373,8 +398,7 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
             ang = (cmath.phase(v[k]) + 2.0 * math.pi * offsets[k]) / pk
             sk = abs(v[k]) ** (1.0 / pk) * cmath.exp(1j * ang)
         prefactor = prefactor / (pk * pk * sk ** (pk - 1))
-        oms = [cmath.exp(-2j * math.pi * j / pk) for j in range(1, pk + 1)]
-        roots.append([(sk * om, om) for om in oms])
+        roots.append([(sk * om, om) for om in _conj_roots(pk)])
     for k in series:
         prefactor = prefactor / p_list[k]
 
@@ -382,17 +406,23 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     # b = (i+1) p_k - 1, i <= series_imax (i = 0 at a zero pairing); one fixed
     # order of terms, the first coordinate fastest, factors in coordinate order
     series_imax = 10
-    terms = [(n + 1, [])]
-    for k in series:
-        filt = [(b, v[k] ** i / math.factorial(b)) for i, b in enumerate(range(
-            p_list[k] - 1, (series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
-        terms = [(deg + b, factors + [f]) for b, f in filt for deg, factors in terms]
     order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
+    # from order 171 on, deg! and b! may exceed a double: every term then reads
+    # off g_deg times deg!/prod b! = (n+1)! prod_k C(n+1+b_1+...+b_k, b_k) and
+    # the v_k^i, each exact integer beside its power, so the product stays in range
+    exact = order >= _BIG_DEG
+    terms = [(n + 1, [math.factorial(n + 1)] if exact else [])]
+    for k in series:
+        filt = [(b, v[k] ** i if exact else v[k] ** i / math.factorial(b))
+                for i, b in enumerate(range(p_list[k] - 1, (
+                    series_imax + 1 if v[k] != 0 else 1) * p_list[k], p_list[k]))]
+        terms = [(deg + b, factors + ([math.comb(deg + b, b), f] if exact else [f]))
+                 for b, f in filt for deg, factors in terms]
     # a combination's jet stops at the last term that _filter_bounds cannot show
     # to be below a quarter ulp of both parts of the sum at its place; a term
     # past it that fails that test brings in the full order, for this and every
     # later combination, and the first coefficients are the same bits either way
-    bounded = len(terms) > 1 and order < 171  # the bounds take order! as a float
+    bounded = len(terms) > 1 and not exact  # the bounds take order! as a float
     weights = [_FILTER_SAFETY * math.factorial(deg) * math.prod(map(abs, factors))
                for deg, factors in terms] if bounded else []
     bounds = [math.inf] * len(terms)
@@ -418,7 +448,8 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
                     continue
                 g = _recip_power_jet(tau, p, y, 1, order, g)
                 bounded, short = False, order
-            contrib += math.prod(factors, start=_factorial_times(g[deg], deg))
+            contrib += math.prod(factors, start=g[deg] if exact else
+                                 _factorial_times(g[deg], deg))
             room = None
         total += weight * contrib
     return KernelValue(prefactor * total, "folded",
@@ -660,13 +691,18 @@ def slice_kp_values(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized slice_kernel_kp over arrays of slice pairings.
 
     Entries with |x| below EPS_SWITCH^2 fall back to the scalar limit path.
+    numpy's whole-array sqrt and abs round apart from the scalar ones, so the
+    entries within ulps of the switch take the branch slice_kernel_kp takes.
     """
     import numpy as np
 
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     xi = np.sqrt(x)
-    small = np.abs(xi) < EPS_SWITCH
+    r = np.abs(xi)
+    small = r < EPS_SWITCH
+    for i in np.flatnonzero(abs(r - EPS_SWITCH) < 1e-15 * EPS_SWITCH):
+        small.flat[i] = abs(cmath.sqrt(x.flat[i])) < EPS_SWITCH
     out = np.empty_like(xi)
     out[~small] = _slice_direct(p, xi[~small], y[~small])
     if np.any(small):

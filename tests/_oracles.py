@@ -335,6 +335,16 @@ def folded_reference(p_list, p, pt, root_choice=None):
     return prefactor * total
 
 
+def recip_power_reference(tau, p, y, m, order):
+    """_recip_power_jet's coefficients through Jet1 objects: (1 - t)^p - y at
+    t = tau by the dense recurrence, 1 divided by it, then m - 1 more divisions."""
+    b = dense_rpow(1.0 - jet1_variable(tau, order), p) - y
+    g = 1.0 / b
+    for _ in range(m - 1):
+        g = g / b
+    return list(g.coeffs)
+
+
 def pflate_reference(n, m, p, z, Z, w, W):
     """pflate_kernel's value through Jet1 objects, no domain check."""
     b = dense_rpow(1.0 - jet1_variable(pairing(z, w), n + 1), p) - pairing(Z, W)

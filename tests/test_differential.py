@@ -20,6 +20,7 @@ import pytest
 
 from bergman import kernels as kernels_module
 from bergman.domains import diagonal_domain
+from bergman.errors import BranchPointJet
 from bergman.jets import (
     jet1_variable,
     jet2_lift_t,
@@ -53,6 +54,7 @@ from _oracles import (
     jet_fpp,
     odd_limit_reference,
     pflate_reference,
+    recip_power_reference,
     simplex_restricted_kernel,
     slice_limit_reference,
 )
@@ -297,6 +299,53 @@ def test_recip_power_jet_is_the_same_bits_at_any_order():
             assert outcome_list(head) == outcome_list(full[:k + 1]), (p, tau, y, m, k)
             grown = _recip_power_jet(tau, p, y, m, top, head)
             assert outcome_list(grown) == outcome_list(full), (p, tau, y, m, k)
+
+
+def test_recip_power_jet_is_its_jet1_reference_bit_for_bit():
+    # one loop nest on lists against Jet1's dense power and its divisions,
+    # at every order to 68, whole and grown from a head
+    rng = np.random.default_rng(20320)
+    for order in range(69):
+        for m in range(1, 5):
+            p = (rng.uniform(0.5, 8.0) if rng.random() < 0.75
+                 else float(rng.choice((50.0, 400.0, 1000.0))))
+            tau = coordinate(rng, rng.uniform(0.0, 0.4))
+            y = coordinate(rng, rng.uniform(0.0, 0.4) ** p)
+            want = outcome_list(recip_power_reference(tau, p, y, m, order))
+            assert outcome_list(_recip_power_jet(tau, p, y, m, order)) == want, (
+                order, m, p, tau, y)
+            k = int(rng.integers(0, order + 1))
+            head = _recip_power_jet(tau, p, y, m, k)
+            assert outcome_list(_recip_power_jet(tau, p, y, m, order, head)) == want, (
+                order, m, p, tau, y, k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_recip_power_jet_error_paths(order):
+    # tau = 1 is the branch point of the power; (1 - tau)^p underflowing to 0
+    # with y = 0 leaves nothing to divide by, where K overflows
+    with pytest.raises(BranchPointJet):
+        _recip_power_jet(1.0, 2.5, 0.1, 1, order)
+    with pytest.raises(BranchPointJet):
+        jet_rpow(1.0 - jet1_variable(1.0, order), 2.5)
+    with pytest.raises(OverflowError):
+        _recip_power_jet(0.5, 1100.0, 0j, 2, order)
+
+
+@pytest.mark.parametrize("p_list, p, z, w", [
+    ([2, 16], 2.5, (0.1, 0.001, 0.1), (0.1, 0.001j, 0.1)),
+    ([20], 1.5, (2e-4, 0.3), (3e-4j, 0.2 + 0.1j)),
+    ([16], 4.0, (5e-6 + 5e-6j, 0.2), (6e-6, 0.2j)),
+    ([3, 20], 3.0, (0.1j, 1e-7, 0.1), (0.1, -2e-7, 0.1j)),
+    ([16, 16], 2.5, (1e-9, 1e-9, 0.1), (1e-9j, 1e-9j, 0.1)),
+    ([20, 20, 20], 2.5, (1e-13,) * 3 + (0.1,), (1e-13j,) * 3 + (0.1,)),
+])
+def test_fold_past_order_170_matches_series(p_list, p, z, w):
+    # a folded p_k >= 16 near its axis needs filter terms of degree 171 and up,
+    # whose deg! and b! exceed a double
+    got = general_folded_kernel(p_list, p, KernelPoint(z, w)).value
+    ref = series_kernel(diagonal_domain(*p_list, p), z, w, SeriesConfig()).value
+    assert abs(got - ref) <= 1e-8 * abs(ref), (got, ref)
 
 
 def test_fold_filter_takes_the_full_order_only_where_a_term_may_show(monkeypatch):

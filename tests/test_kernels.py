@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergman import kernels as kernels_module
 from bergman.domains import Block, DomainSpec, diagonal_domain
 from bergman.errors import (
     DimensionMismatch,
@@ -645,6 +646,31 @@ def test_slice_values_vectorized_includes_small_roots():
         for i, (x, y) in enumerate(zip(xs, ys)):
             want = slice_kernel_kp(p, x, y).value
             assert abs(got[i] - want) <= 1e-10 * max(1e-30, abs(want))
+
+
+def test_slice_values_take_the_scalar_branch_at_the_switch(monkeypatch):
+    # within ulps of |xi| = EPS_SWITCH numpy's whole-array sqrt and abs round
+    # apart from the scalar ones on some entries; each entry takes the branch
+    # slice_kernel_kp takes, and a limit entry is its value, bit for bit
+    rng = np.random.default_rng(32)
+    r = EPS_SWITCH * (1.0 + rng.integers(-4, 5, 8000) * 2.0 ** -53)
+    x = ((r * np.exp(2j * np.pi * rng.random(r.size))) ** 2).reshape(40, 200)
+    y = np.full(x.shape, 0.1 + 0.05j)
+    limit = np.array([abs(cmath.sqrt(v)) < EPS_SWITCH for v in x.flat]).reshape(x.shape)
+    assert (limit != (np.abs(np.sqrt(x)) < EPS_SWITCH)).sum() > 50
+    scalar, seen = slice_kernel_kp, []
+
+    def recording(p, xs, ys):
+        seen.append(xs)
+        return scalar(p, xs, ys)
+
+    monkeypatch.setattr(kernels_module, "slice_kernel_kp", recording)
+    got = slice_kp_values(2.5, x, y)
+    assert sorted(seen, key=lambda c: (c.real, c.imag)) == sorted(
+        (complex(v) for v in x[limit]), key=lambda c: (c.real, c.imag))
+    want = [scalar(2.5, complex(v), 0.1 + 0.05j) for v in x[limit]]
+    assert all(kv.near_singular_limit for kv in want)
+    assert got[limit].tobytes() == np.array([kv.value for kv in want]).tobytes()
 
 
 # ---------------------------------------------------------------- evaluate
