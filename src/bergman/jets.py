@@ -11,6 +11,8 @@ in t (jets of jets), so it needs no arithmetic of its own.
 
 Each recurrence is written once, on coefficient lists (_mul1, _div1, _rpow1,
 _factorial_times); Jet1's operators and the kernels' closed forms call them.
+kernels._recip_power_jet runs _rpow1's and _div1's operations, in their order,
+for its linear base in one loop nest: their bits without the calls.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ the profile), and deflation (a two-exponent fiber pair traded for a single
 merged exponent, up to an explicit Gamma-ratio constant).  Every derivative
 is extracted from a jet; nothing here differentiates numerically.  Only the
 profile operators build Jet1 objects; the closed forms read their jets off
-coefficient lists (_recip_power_jet, _rpow1) and run on a jet only if passed one.
+coefficient lists (_recip_power_jet, one loop nest with the bits of jets._rpow1
+and jets._div1) and run on a jet only if passed one.
 """
 
 from __future__ import annotations
@@ -119,8 +120,7 @@ def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
                      head=()) -> list[complex]:
     """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
     b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits.
-    The base 1 - tau - t is linear, so only the j = 1 term of _rpow1's sum is
-    not zero, and it is added to 0j as there; the divisions are _div1's sums.
+    The base 1 - tau - t is linear: of _rpow1's sum only the j = 1 term is left.
     Every coefficient is the same at any order, so the last division may start
     from ``head``, the result of a lower-order call.
     An interior b_0 reads 0 only where (1-tau)^p underflows, so K overflows there."""
@@ -129,8 +129,7 @@ def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
         raise BranchPointJet("jet constant term sits on the branch point of ^r")
     b = [a0 ** p]
     for k in range(1, order + 1):
-        s = 0j
-        s += (p + 1 - k) * (-1 + 0j) * b[k - 1]
+        s = 0j + (p + 1 - k) * (-1 + 0j) * b[k - 1]
         b.append(s / (k * a0))
     b0 = b[0] = b[0] - complex(y)  # x - 0.0 is x, so only b_0 takes y
     if abs(b0) < _ZERO_EPS:
