@@ -408,7 +408,7 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     order = n + 1 + sum((series_imax + 1) * p_list[k] - 1 for k in series)
     # from order 171 on, deg! and b! may exceed a double: every term then reads
     # off g_deg times deg!/prod b! = (n+1)! prod_k C(n+1+b_1+...+b_k, b_k) and
-    # the v_k^i, each exact integer beside its power, so the product stays in range
+    # the v_k^i, each exact integer beside its power: one ratio may not fit a double
     exact = order >= _BIG_DEG
     terms = [(n + 1, [math.factorial(n + 1)] if exact else [])]
     for k in series:
