@@ -531,16 +531,16 @@ def _k2_cell_floor(xc, yc, hx, hy):
     3(2|d_c| + |s_c| + h) h^2 + 8 hx hy.  A relative margin of 1e-6, taken by
     the caller, covers rounding here and in K2.  |num| stays near or above
     0.05 on the scan's grids (0.057 at res 256), against terms below 11, so
-    K2 rounds by some 1e-13 of itself.  Every cell whose floor lies above the
-    scan's minimum keeps |num_c| less its linear and remainder terms above
-    4e-5 (res 8 to 96 and every 12th up to 256, least at 208), against terms
-    below 8, so the rounding of that difference, under 1e-13, moves the floor
-    by under 1e-8 of itself."""
+    K2 rounds by some 1e-13 of itself.  Every cell the scan skips keeps |num_c|
+    less its linear and remainder terms above 3e-5 (res 8-96 and every 12th to
+    256, least at 240), against terms below 8: that difference rounds by under
+    1e-13, under 1e-8 of the floor.  The floor stands for the cell's mirrored
+    grid points too, where |K2| is within 2e-13 of itself (res 48 and 256)."""
     import numpy as np
 
-    num, delta = _k2_terms(xc, yc)
-    s, d = 1.0 - xc - yc, xc - yc
+    s, d, xy = 1.0 - xc - yc, xc - yc, xc * yc
     e, f = 3.0 - 3.0 * (d * d), 6.0 * (s * d)
+    num, delta = s * e + 8.0 * xy, s * s - 4.0 * xy
     h = hx + hy
     lo = (abs(num) - abs(8.0 * yc - e - f) * hx - abs(8.0 * xc - e + f) * hy
           - 3.0 * (2.0 * abs(d) + abs(s) + h) * h * h - 8.0 * hx * hy)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -27,13 +28,13 @@ from .kernels import (
 
 DEFAULT_SCAN_MARGIN = 0.12
 
-_BLOCK = 2048  # points per array evaluation, and k2 scan coarse cells per chunk
-_CELL = 3  # angles per pairing of a fine k2 scan cell, odd
-_COARSE = 3  # fine cells per pairing of a coarse k2 scan cell, odd
+_BLOCK = 2048  # points per winding-count evaluation, and k2 scan coarse cells per chunk
+_CELL = 3  # angles of a fine k2 scan run, a third of a coarse cell's y run
+_COARSE = 3  # fine runs per coarse k2 scan run
 _MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
-MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/700 cells
+MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/1400 cells
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,11 @@ class SliceFunction:
 
 @dataclass(frozen=True)
 class TwoVarSlice:
-    """K2's pair slice, the one whose cell floors and swap symmetry
-    f(x, y) = f(y, x) grid_zero_scan assumes: eval_many broadcasts arrays of
-    x against arrays of y, restrict_x(y0) is the slice in x at y0
-    (grid_zero_scan calls eval_many only)."""
+    """K2's pair slice, the one whose cell floors, swap symmetry f(x, y) =
+    f(y, x) and conjugate symmetry |f(conj x, conj y)| = |f(x, y)|
+    grid_zero_scan assumes: eval_many broadcasts arrays of x against arrays of
+    y, restrict_x(y0) is the slice in x at y0 (grid_zero_scan calls eval_many
+    only)."""
 
     eval_many: Callable
     description: str
@@ -303,9 +305,13 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     """
     import numpy as np
 
-    if not 8 <= resolution <= MAX_RESOLUTION:
-        raise PreconditionViolated(
-            f"resolution must lie in 8..{MAX_RESOLUTION}, got {resolution}")
+    try:  # any integer type but bool
+        res = 0 if isinstance(resolution, bool) else operator.index(resolution)
+    except TypeError:
+        res = 0
+    if not 8 <= res <= MAX_RESOLUTION:
+        raise PreconditionViolated(f"resolution must lie in 8..{MAX_RESOLUTION}, got {resolution}")
+    resolution = res
     if isinstance(slc, TwoVarSlice):
         return _grid_scan_two_var(slc, resolution, tol)
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
@@ -329,71 +335,65 @@ def grid_zero_scan(slc, resolution: int, tol: float = 1e-9) -> ZeroReport:
     return _zero_report(slc, roots, "newton", float(mods.min()))
 
 
-def _grid_scan_two_var(slc: TwoVarSlice, resolution: int, tol: float) -> ZeroReport:
+def _grid_scan_two_var(slc: TwoVarSlice, res: int, tol: float) -> ZeroReport:
     import numpy as np
 
     rmax = 1.0 - DEFAULT_SCAN_MARGIN
-    side = np.linspace(rmax / resolution, rmax, resolution)
-    phase = np.exp(1j * (2.0 * math.pi * np.arange(resolution) / resolution))
-    # A fine group is _CELL angles about a centre, wrapping; a coarse group is
-    # _COARSE consecutive fine groups about the middle one, the last cut short
-    # (its repeats masked out).  A cell is one radius and one group of each
-    # pairing, no point farther than h r from its centre (1 angle step, or 4
-    # for a coarse cell).  The admissible radius pairs are symmetric and their
-    # rings whole, and K2(x, y) = K2(y, x), so floors go to the cells whose
-    # (radius, group) of x is at most that of y, and each fine cell that
-    # survives passes its points to eval_many in both orders.  Coarse cells
-    # come _BLOCK at a time, best floor first
-    half = _CELL // 2
-    centres = np.minimum(np.arange(half, resolution + half, _CELL), resolution - 1)
-    around = (centres[:, None] + np.arange(-half, half + 1)) % resolution
-    grouped = np.arange(0, centres.size, _COARSE)[:, None] + np.arange(_COARSE)
-    fresh, members = grouped < centres.size, np.minimum(grouped, centres.size - 1)
-    mid = centres[members[:, _COARSE // 2]]
-    h_fine = 2.0 * math.sin(half * math.pi / resolution)
-    h_coarse = 2.0 * math.sin((half + _CELL * (_COARSE // 2)) * math.pi / resolution)
-    root = np.sqrt(side)
-    ri, rj = np.nonzero(np.triu(root[:, None] + root[None, :] < 1.0 - 1e-9))
-    ga, gb = np.divmod(np.arange(mid.size ** 2), mid.size)
+    side = np.linspace(rmax / res, rmax, res)
+    grid = (side[:, None] * np.exp(1j * (2.0 * math.pi * np.arange(res) / res))).ravel()
+    # Angle runs are signed spans [first, last]: the upper angles 0..res // 2
+    # in coarse runs of _CELL * _COARSE, each of _COARSE fine runs of _CELL
+    # (the last of each cut short), and for x also their mirrors, less 0 and
+    # res / 2.  A cell is one radius and one run of each pairing, no point
+    # farther than 2 r sin(k pi / res) from its centre, k its half-width in
+    # steps.  The admissible radius pairs are symmetric and their rings whole,
+    # K2(x, y) = K2(y, x) and |K2(conj x, conj y)| = |K2(x, y)|, so floors go to
+    # the cells with x radius at most y's, an upper y run and, at equal radii,
+    # an x run no farther from angle 0.  Chunks of them go outer y radii first,
+    # the first seeded by the real axis; each splits the cells it cannot skip
+    # into y's fine runs (y has the larger radius) and passes each fine cell
+    # left to eval_many with its swap and its mirrored grid points
+    wide = _CELL * _COARSE
+    first = np.arange(0, res // 2 + 1, wide)
+    last = np.minimum(first + wide - 1, res // 2)
+    fine_first = np.minimum(first[:, None] + np.arange(0, wide, _CELL), last[:, None])
+    fine_last = np.minimum(fine_first + _CELL - 1, last[:, None])
+    x_first = np.concatenate((first, -np.minimum(last, (res - 1) // 2)))
+    x_last = np.concatenate((last, -np.maximum(first, 1)))
+    ri, rj = np.nonzero(np.triu(np.sqrt(side)[:, None] + np.sqrt(side) < 1.0 - 1e-9))
+    ri, rj = np.stack((ri, rj))[:, np.lexsort((ri, -rj))]
+    ga, gb = np.divmod(np.arange(x_first.size * first.size), first.size)
+    same_ring = ga % first.size <= gb
 
-    min_mod = math.inf
+    def centred(lo, hi):  # a run's centre angle and 2 sin(k pi / res), k its half-width
+        mid = (lo + hi) // 2
+        return mid % res, 2.0 * np.sin((hi - mid) * math.pi / res)
 
-    def floors(i, a, j, b, angle, h):
-        return _k2_cell_floor(side[i] * phase[angle[a]], side[j] * phase[angle[b]],
-                              side[i] * h, side[j] * h) * (1.0 - 1e-6)
+    (xc, xh), (yc, yh), (fc, fh) = map(centred, (x_first, first, fine_first),
+                                       (x_last, last, fine_last))
 
-    def best_first(floor, size):
-        # cells whose floor is at most the running minimum, lowest first, size
-        # at a time (one until a value is in), each batch checked as it comes
-        order = np.flatnonzero(floor <= min_mod)
-        order = order[np.argsort(floor[order])]
-        k = 0
-        while k < order.size:
-            cell = order[k:k + (size if min_mod < math.inf else 1)]
-            cell = cell[floor[cell] <= min_mod]
-            if cell.size == 0:
-                return
-            k += cell.size
-            yield cell
-
-    per_chunk = max(1, _BLOCK // ga.size)
+    def floors(i, x, hx, j, y, hy):
+        return _k2_cell_floor(grid[i * res + x], grid[j * res + y],
+                              side[i] * hx, side[j] * hy) * (1.0 - 1e-6)
+    per_chunk, axis = max(1, _BLOCK // ga.size), np.array([0, res // 2])
+    min_mod = float(np.abs(slc.eval_many(grid[ri[:per_chunk, None, None] * res + axis[:, None]],
+                                         grid[rj[:per_chunk, None, None] * res + axis])).min())
     for k in range(0, ri.size, per_chunk):
-        p, q = np.nonzero((ri[k:k + per_chunk, None] < rj[k:k + per_chunk, None]) | (ga <= gb))
+        p, q = np.nonzero((ri[k:k + per_chunk, None] < rj[k:k + per_chunk, None]) | same_ring)
         i, a, j, b = ri[k + p], ga[q], rj[k + p], gb[q]
-        for live in best_first(floors(i, a, j, b, mid, h_coarse), _BLOCK // _CELL ** 2):
-            ci, ca, cj, cb = i[live], members[a[live]], j[live], members[b[live]]
-            keep = fresh[a[live]][:, :, None] & fresh[b[live]][:, None, :]
-            keep &= (ci < cj)[:, None, None] | (ca[:, :, None] <= cb[:, None, :])
-            c, u, v = np.nonzero(keep)
-            fi, fa, fj, fb = ci[c], ca[c, u], cj[c], cb[c, v]
-            fine = floors(fi, fa, fj, fb, centres, h_fine)
-            for cell in best_first(fine, _BLOCK // (2 * _CELL ** 2)):
-                twin = cell[(fi[cell] != fj[cell]) | (fa[cell] != fb[cell])]
-                xi, xa, yj, yb = (np.concatenate((one[cell], other[twin])) for one, other
-                                  in ((fi, fj), (fa, fb), (fj, fi), (fb, fa)))
-                xs = side[xi, None, None] * phase[around[xa]][:, :, None]
-                ys = side[yj, None, None] * phase[around[yb]][:, None, :]
-                min_mod = float(np.abs(slc.eval_many(xs, ys)).min(initial=min_mod))
+        live = np.flatnonzero(floors(i, xc[a], xh[a], j, yc[b], yh[b]) <= min_mod)
+        i, a, j, b = i[live, None], a[live, None], j[live, None], b[live]
+        c, f = np.nonzero(floors(i, xc[a], xh[a], j, fc[b], fh[b]) <= min_mod)
+        if c.size == 0:
+            continue
+        ax = x_first[a[c]] + np.arange(wide)
+        ay = fine_first[b[c], f, None] + np.arange(_CELL)
+        keep = (ax <= x_last[a[c]])[:, :, None] & (ay <= fine_last[b[c], f, None])[:, None, :]
+        xs = (i[c] * res + np.stack((ax % res, -ax % res)))[..., :, None]
+        ys = (j[c] * res + np.stack((ay % res, -ay % res)))[..., None, :]
+        xs, ys = (u[:, keep].ravel() for u in np.broadcast_arrays(xs, ys))
+        min_mod = float(np.abs(slc.eval_many(grid[np.concatenate((xs, ys))],
+                                             grid[np.concatenate((ys, xs))])).min(initial=min_mod))
     if min_mod < tol:
         raise PreconditionViolated(
             f"grid minimum |f| = {min_mod!r} of the {slc.description} lies below "

@@ -564,7 +564,23 @@ def test_grid_scan_rejects_resolution_above_cap(slc):
         grid_zero_scan(slc, 257)
 
 
-@pytest.mark.parametrize("res", [8, 12, 16, 48, 50, 64, 96])
+@pytest.mark.parametrize("slc", [
+    SliceFunction(eval=_never, description="slice"),
+    TwoVarSlice(eval_many=_never, description="k2", restrict_x=_never),
+], ids=["slice", "k2"])
+@pytest.mark.parametrize("res", [48.0, 9.0, 48.5, True, "48", None])
+def test_grid_scan_refuses_a_resolution_of_no_integer_type(slc, res):
+    with pytest.raises(PreconditionViolated, match=re.escape(f"8..256, got {res}")):
+        grid_zero_scan(slc, res)
+
+
+@pytest.mark.parametrize("slc", [mixed_slice(3), k2_pair_slice()], ids=["slice", "k2"])
+def test_grid_scan_takes_any_integer_type_as_resolution(slc):
+    assert grid_zero_scan(slc, np.int64(16)) == grid_zero_scan(slc, 16)
+    assert grid_zero_scan(slc, np.uint8(12)) == grid_zero_scan(slc, 12)
+
+
+@pytest.mark.parametrize("res", [8, 9, 12, 16, 17, 33, 47, 48, 50, 64, 96])
 @pytest.mark.parametrize("tol", [1e-9])
 def test_k2_scan_matches_per_pairing_reference(res, tol):
     # skipping the cells whose floor lies above the running minimum keeps
@@ -592,8 +608,8 @@ def _counted_k2(counts):
 
 def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
     # the reference passes every admissible pair once; the scan, which takes
-    # floors on coarse cells, then on the fine cells of those it cannot skip,
-    # and evaluates the fine cells left, passes about 0.2 % of them
+    # floors on coarse cells, then on the three y splits of those it cannot
+    # skip, and evaluates the splits left with their images, passes about 0.2 %
     cells = []
 
     def counted_floor(xc, yc, hx, hy):
@@ -606,49 +622,99 @@ def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
     assert grid_zero_scan(_counted_k2(scan), 48).min_modulus.hex() == want.hex()
     assert sum(grid) == 1029888
     assert sum(scan) <= 0.01 * sum(grid)
-    assert 0 < sum(cells) <= 25000
+    assert 0 < sum(cells) <= 8000
 
 
-@pytest.mark.parametrize("res", [12, 16])
-def test_k2_scan_covers_every_grid_pair(res, monkeypatch):
-    # each admissible pair (x, y) went to eval_many as (x, y), or it or (y, x)
-    # lies in a bidisc whose floor, less the margin, is above the minimum; at
-    # res 12 the last coarse group holds one fine group, at 16 all hold three
-    cells, seen = [], set()
+def test_k2_scan_at_res_256_evaluates_at_most_100000_points():
+    # outer radii first: the running minimum is in from the first chunk on
+    scan = []
+    assert grid_zero_scan(_counted_k2(scan), 256).min_modulus.hex() == "0x1.6cba6547d44bap-8"
+    assert 0 < sum(scan) <= 100000
+
+
+def _recorded_floors(monkeypatch):
+    """Patch the scan's _k2_cell_floor to record each call's broadcast
+    (xc, yc, hx, hy, floor), raveled; returns the record list."""
+    cells = []
 
     def recorded_floor(xc, yc, hx, hy):
         floor = _k2_cell_floor(xc, yc, hx, hy)
-        cells.append(np.broadcast_arrays(xc, yc, hx, hy, floor))
+        cells.append([u.ravel() for u in np.broadcast_arrays(xc, yc, hx, hy, floor)])
         return floor
+
+    monkeypatch.setattr(zeros_module, "_k2_cell_floor", recorded_floor)
+    return cells
+
+
+@pytest.mark.parametrize("res", [8, 9, 12, 13, 16])
+def test_k2_scan_covers_every_grid_pair(res, monkeypatch):
+    # each admissible pair (x, y) went to eval_many as (x, y), or it, its swap
+    # (y, x) or a conjugate image (conj x, conj y), (conj y, conj x) lies in a
+    # bidisc whose floor, less the margin, is above the minimum; at res 9 and
+    # 13 no angle is res / 2, and at res 8 and 12 the coarse runs are cut short
+    cells, seen = _recorded_floors(monkeypatch), set()
 
     def recorded(x, y):
         seen.update(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(x, y))))
         return k2_values(x, y)
 
-    monkeypatch.setattr(zeros_module, "_k2_cell_floor", recorded_floor)
     slc = TwoVarSlice(eval_many=recorded, description="k2", restrict_x=_no_restriction)
     least = grid_zero_scan(slc, res).min_modulus
     xc, yc, hx, hy, floor = (np.concatenate(a) for a in zip(*cells))
-    skip, slack = floor * (1.0 - 1e-6) > least, 1.0 + 1e-12  # slack: distances round
-    xc, yc, hx, hy = xc[skip], yc[skip], hx[skip] * slack, hy[skip] * slack
+    # slack: distances round, and a mirrored grid point is its conjugate's grid
+    # point only up to rounding (a run of one angle has h = 0)
+    skip, slack = floor * (1.0 - 1e-6) > least, 1.0 + 1e-12
+    xc, yc, hx, hy = xc[skip], yc[skip], hx[skip] * slack + 1e-15, hy[skip] * slack + 1e-15
     side = np.linspace(0.88 / res, 0.88, res)
     ring = np.exp(1j * (2.0 * math.pi * np.arange(res) / res))
     pairs = [(x, y) for rx in side for ry in side if math.sqrt(rx) + math.sqrt(ry) < 1.0 - 1e-9
              for x in (rx * ring).tolist() for y in (ry * ring).tolist()]
     left = np.array([q for q in pairs if q not in seen])
     x, y = left[:, :1], left[:, 1:]
-    inside = ((np.abs(x - xc) <= hx) & (np.abs(y - yc) <= hy)).any(axis=1)
-    mirrored = ((np.abs(y - xc) <= hx) & (np.abs(x - yc) <= hy)).any(axis=1)
+    covered = np.zeros(left.shape[0], dtype=bool)
+    for u, v in ((x, y), (y, x), (x.conjugate(), y.conjugate()), (y.conjugate(), x.conjugate())):
+        covered |= ((np.abs(u - xc) <= hx) & (np.abs(v - yc) <= hy)).any(axis=1)
     assert len(pairs) > left.shape[0] > 0
-    assert (inside | mirrored).all()
+    assert covered.all()
 
 
-@pytest.mark.parametrize("res, want", [(128, "0x1.05988516b080ep-7"),
-                                       (192, "0x1.9eacc4bb805cbp-8"),
-                                       (256, "0x1.6cba6547d44bap-8")])
-def test_k2_scan_keeps_its_bits_at_high_resolution(res, want):
-    # min_modulus of the full-grid scan, too slow to recompute per pairing here
-    assert grid_zero_scan(k2_pair_slice(), res).min_modulus.hex() == want
+@pytest.mark.parametrize("res, every", [(48, 1), (256, 197)])
+def test_k2_modulus_is_the_same_at_mirrored_grid_pairs(res, every):
+    # the scan evaluates a cell's mirrored grid points, not exact conjugates,
+    # and prunes by floors with a relative margin of 1e-6; the mirrored phases
+    # differ from conjugates in their last bits, |K2| by about 2e-14 at most
+    side = np.linspace(0.88 / res, 0.88, res)
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(res) / res))
+    mirror = ring[-np.arange(res) % res]
+    assert np.count_nonzero(mirror != ring.conjugate()) > res // 2
+    root = np.sqrt(side)
+    ri, rj = np.nonzero(root[:, None] + root[None, :] < 1.0 - 1e-9)
+    for i, j in zip(ri[::every], rj[::every]):
+        here = np.abs(k2_values(side[i] * ring[:, None], side[j] * ring[None, :]))
+        there = np.abs(k2_values(side[i] * mirror[:, None], side[j] * mirror[None, :]))
+        assert np.all(np.abs(there - here) <= 1e-12 * here)
+
+
+@pytest.mark.parametrize("res", [8, 48, 96, 256])
+def test_k2_cell_floor_rounding_margin_holds_on_pruned_cells(res, monkeypatch):
+    # _k2_cell_floor's docstring: every cell the scan skips keeps |num_c| less
+    # its linear and remainder terms above 3e-5, against terms below 8, so the
+    # relative margin of 1e-6 covers that difference's rounding
+    cells = _recorded_floors(monkeypatch)
+    least = grid_zero_scan(k2_pair_slice(), res).min_modulus
+    low, big = math.inf, 0.0
+    for xc, yc, hx, hy, floor in cells:
+        skip = floor * (1.0 - 1e-6) > least
+        xc, yc, hx, hy = xc[skip], yc[skip], hx[skip], hy[skip]
+        s, d, h = 1.0 - xc - yc, xc - yc, hx + hy
+        e, f = 3.0 - 3.0 * d * d, 6.0 * s * d
+        terms = (np.abs(s * e + 8.0 * xc * yc), np.abs(8.0 * yc - e - f) * hx,
+                 np.abs(8.0 * xc - e + f) * hy,
+                 3.0 * (2.0 * np.abs(d) + np.abs(s) + h) * h * h + 8.0 * hx * hy)
+        low = min(low, (terms[0] - terms[1] - terms[2] - terms[3]).min(initial=math.inf))
+        big = max(big, max(t.max(initial=0.0) for t in terms))
+    assert 3e-5 < low < math.inf
+    assert big < 8.0
 
 
 @st.composite
