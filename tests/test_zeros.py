@@ -678,6 +678,14 @@ def test_k2_scan_covers_every_grid_pair(res, monkeypatch):
     assert covered.all()
 
 
+@pytest.mark.parametrize("res, want", [(128, "0x1.05988516b080ep-7"),
+                                       (192, "0x1.9eacc4bb805cbp-8"),
+                                       (256, "0x1.6cba6547d44bap-8")])
+def test_k2_scan_keeps_its_bits_at_high_resolution(res, want):
+    # min_modulus of the full-grid scan, too slow to recompute per pairing here
+    assert grid_zero_scan(k2_pair_slice(), res).min_modulus.hex() == want
+
+
 @pytest.mark.parametrize("res, every", [(48, 1), (256, 197)])
 def test_k2_modulus_is_the_same_at_mirrored_grid_pairs(res, every):
     # the scan evaluates a cell's mirrored grid points, not exact conjugates,
