@@ -32,6 +32,8 @@ _BLOCK = 2048  # points per winding-count evaluation, and k2 scan coarse cells p
 _CELL = 3  # angles of a fine k2 scan run, a third of a coarse cell's y run
 _COARSE = 3  # fine runs per coarse k2 scan run
 _MAX_SAMPLES = 1 << 22  # largest contour sample count M of the winding count
+_ROOTS_MAX_M = 1 << 14  # deepest M whose contour points _ROOTS keeps: 16,384, 256 KB
+_ROOTS: dict = {}  # (k, M, step) -> _unit_roots(k, M, step), for M <= _ROOTS_MAX_M
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
 MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/1400 cells
@@ -178,6 +180,16 @@ def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> comple
     raise NoConvergence(f"Newton did not reach |f| < {tol} from seed {seed}")
 
 
+def _unit_roots(k: int, m: int, step: int):
+    """e^(2 pi i j/m) for j = k, k + step, ... below min(m, k + step * _BLOCK)."""
+    import numpy as np
+    if (pts := _ROOTS.get((k, m, step))) is None:
+        pts = np.exp(2j * math.pi * np.arange(k, min(m, k + step * _BLOCK), step) / m)
+        if m <= _ROOTS_MAX_M:
+            _ROOTS[k, m, step] = pts
+    return pts
+
+
 def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     """Argument-principle zero count inside |t| = radius.
 
@@ -192,8 +204,9 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     k and M, so the even samples at 2M are the samples at M, bit for bit, and
     the sum at 2M adds only its M odd ones to the raw sum at M.  A count thus
     evaluates f.dlog once at each of its final M points, on one array per
-    _BLOCK of them, under np.errstate(all="ignore"): an overflow reaches the
-    non-finite check silently.
+    _BLOCK of them, radius times _unit_roots (kept in _ROOTS up to M =
+    _ROOTS_MAX_M, 16,384 points), under np.errstate(all="ignore"): an
+    overflow reaches the non-finite check silently.
     """
     import numpy as np
 
@@ -203,8 +216,7 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     while m <= _MAX_SAMPLES:
         with np.errstate(all="ignore"):
             for k in range(step - 1, m, step * _BLOCK):
-                ks = np.arange(k, min(m, k + step * _BLOCK), step)
-                acc += complex(f.dlog(radius * np.exp(2j * math.pi * ks / m)).sum())
+                acc += complex(f.dlog(radius * _unit_roots(k, m, step)).sum())
         w = acc / m
         if not cmath.isfinite(w):
             raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {radius}")

@@ -347,6 +347,52 @@ def test_winding_evaluates_each_contour_point_once(make, r, want):
     assert np.allclose(t, r * np.exp(2j * math.pi * k / m), rtol=0.0, atol=1e-15)
 
 
+def test_winding_points_keep_their_bits_across_the_table_cap(monkeypatch):
+    # a dlog of 1/2 keeps the sum at 1/2 through M = 65,536; -1/2 on the next
+    # level's odd points brings it to 0, so the count ends at M = 131,072.
+    # Twice: once filling the memoised table, once reading it.
+    monkeypatch.setattr(zeros_module, "_ROOTS", {})
+    r, block = 0.999, zeros_module._BLOCK
+    for _ in range(2):
+        seen = []
+
+        def dlog(t):
+            seen.append(t.copy())
+            return np.full(t.shape, 0.5 if sum(s.size for s in seen) <= 65536 else -0.5)
+
+        f = SliceFunction(eval=lambda t: t, description="recording", dlog=dlog)
+        assert count_zeros_winding(f, r) == 0
+        blocks, m, step = iter(seen), 512, 1
+        while m <= 1 << 17:
+            for k in range(step - 1, m, step * block):
+                ks = np.arange(k, min(m, k + step * block), step)
+                want = r * np.exp(2j * math.pi * ks / m)
+                assert next(blocks).tobytes() == want.tobytes(), (m, k)
+            m, step = 2 * m, 2
+        assert next(blocks, None) is None
+    assert max(m for _, m, _ in zeros_module._ROOTS) == 16384
+
+
+@pytest.mark.parametrize("p, deepest", [(2.000066954418969, 524288),
+                                        (2.000399620598079, 65536)])
+def test_winding_table_stays_bounded_on_deep_counts(monkeypatch, p, deepest):
+    # an axis-2 zero just inside |y| = 1 needs deep counts; the table keeps
+    # only the levels up to M = 16,384, 16,384 points in all
+    monkeypatch.setattr(zeros_module, "_ROOTS", {})
+    levels, unit_roots = set(), zeros_module._unit_roots
+
+    def recorded(k, m, step):
+        levels.add(m)
+        return unit_roots(k, m, step)
+
+    monkeypatch.setattr(zeros_module, "_unit_roots", recorded)
+    rep = axis2_zero_locus(p)
+    assert len(rep.zeros) == 1 and rep.count_by_winding == 1
+    assert max(levels) == deepest
+    assert sum(pts.size for pts in zeros_module._ROOTS.values()) <= 16384
+    assert all(m <= 16384 for _, m, _ in zeros_module._ROOTS)
+
+
 # --------------------------------------------------------------- axis1 loci
 
 
