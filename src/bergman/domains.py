@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SchemaError, UnsupportedDomain
 
@@ -143,24 +143,24 @@ def contains(d: DomainSpec, z: Sequence[complex]) -> bool:
     return phi(d, z) < 1.0
 
 
-def log_norm_table(d: DomainSpec) -> Callable[[Sequence[int]], float]:
-    """log_monomial_norm_sq on an all-diagonal d, memoising log p_j +
-    log Gamma(p_j (a+1)) per coordinate j and exponent a: a series over many
-    alpha then pays one log_gamma call per term, for the denominator's Gamma."""
-    ps = d.exponents()
-    rows = [{} for _ in ps]
+class NormRow:
+    """One coordinate's shares of log_monomial_norm_sq by exponent a, grown on
+    demand by ``upto``: log p + log Gamma(p (a+1)) in ``log[a]``, p (a+1) in ``arg[a]``."""
 
-    def log_norm(alpha: Sequence[int]) -> float:
-        acc = len(ps) * math.log(math.pi)
-        s = 0.0
-        for p, row, a in zip(ps, rows, alpha):
-            if a not in row:
-                row[a] = math.log(p) + log_gamma(p * (a + 1))
-            acc += row[a]
-            s += p * (a + 1)
-        return acc - log_gamma(1.0 + s)
+    def __init__(self, p: float):
+        self.p, self.log, self.arg = p, [], []
 
-    return log_norm
+    def upto(self, top: int) -> None:
+        for a in range(len(self.log), top + 1):
+            self.log.append(math.log(self.p) + log_gamma(self.p * (a + 1)))
+            self.arg.append(self.p * (a + 1))
+
+
+def log_norm_table(d: DomainSpec) -> tuple[float, list[NormRow]]:
+    """n log pi and a NormRow per coordinate of an all-diagonal d: log ||z^alpha||^2
+    is n log pi + sum_j row_j.log[alpha_j] - log Gamma(1 + sum_j row_j.arg[alpha_j]),
+    each sum taken over j in turn."""
+    return len(d.blocks) * math.log(math.pi), [NormRow(b.p) for b in d.blocks]
 
 
 def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
@@ -177,11 +177,17 @@ def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
         raise UnsupportedDomain(
             "monomial norms are defined only for all-diagonal domains")
     a = tuple(int(k) for k in alpha)
-    n = d.total_dim
-    if len(a) != n:
+    if len(a) != d.total_dim:
         raise DimensionMismatch(
-            f"multi-index has {len(a)} entries, domain has {n} coordinates")
-    return log_norm_table(d)(a)
+            f"multi-index has {len(a)} entries, domain has {d.total_dim} coordinates")
+    if any(k < 0 for k in a):
+        raise ValueError(f"multi-index {a} has a negative entry")
+    acc, rows = log_norm_table(d)
+    s = 0.0
+    for row, k in zip(rows, a):
+        row.upto(k)
+        acc, s = acc + row.log[k], s + row.arg[k]
+    return acc - log_gamma(1.0 + s)
 
 
 def volume(d: DomainSpec) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .domains import DomainSpec, log_norm_table, phi
+from .domains import DomainSpec, log_gamma, log_norm_table, phi
 from .errors import NoConvergence, PreconditionViolated, UnsupportedDomain
 from .kernels import KernelValue
 
@@ -41,48 +41,47 @@ class SeriesConfig:
 
 
 def _degree_increments(d: DomainSpec, z, w, top: int):
-    """Yield per-total-degree contributions to the monomial series.
-
-    Coordinates with z_j * conj(w_j) = 0 only contribute through alpha_j = 0,
-    so the enumeration runs over the active coordinates alone.
-    """
+    """Yield per-total-degree contributions to the monomial series: alpha walks
+    each degree lexicographically, the last two coordinates as one flat loop,
+    over rows of a log v_j, v_j = z_j * conj(w_j), and of log_norm_table grown a
+    degree at a time, with prefix sums left to right.  Where v_j = 0 only a = 0
+    is taken; its 0j in the exponent moves no bit of the sums from 0j."""
     if not d.is_diagonal:
         raise UnsupportedDomain("series oracle needs a diagonal domain")
     n = d.total_dim
     if len(z) != n or len(w) != n:
         raise PreconditionViolated(
             f"points of length {len(z)}, {len(w)} on a {n}-dimensional domain")
-    v = [zj * complex(wj).conjugate() for zj, wj in zip(z, w)]
-    active = [j for j in range(n) if v[j] != 0]
-    logv = [cmath.log(v[j]) for j in active]
-    log_norm = log_norm_table(d)
+    base, rows = log_norm_table(d)
+    e, grow = [], []
+    for zj, wj, row in zip(z, w, rows):
+        row.upto(0)
+        logv = cmath.log(v) if (v := zj * complex(wj).conjugate()) != 0 else 0j
+        e.append([0 * logv])
+        if v != 0:
+            grow.append((logv, e[-1], row))
+    logs, args = [row.log for row in rows], [row.arg for row in rows]
+    if n == 1:  # a neutral coordinate in front pairs the only one
+        e, logs, args, n = [[0j]] + e, [[0.0]] + logs, [[0.0]] + args, 2
+    e2, log2, arg2 = e[-1], logs[-1], args[-1]
 
-    base = [0] * n
-    for deg in range(top + 1):
-        if deg == 0:
-            yield 0, cmath.exp(-log_norm(base))
-            continue
-        if not active:
-            return
-        total = 0j
-        for comp in _compositions(deg, len(active)):
-            alpha = list(base)
-            ex = 0j
-            for slot, a in enumerate(comp):
-                alpha[active[slot]] = a
-                ex += a * logv[slot]
-            total += cmath.exp(ex - log_norm(alpha))
-        yield deg, total
+    def walk(t, rem, ex, acc, s, total):
+        et, log, arg = e[t], logs[t], args[t]
+        if t < n - 2:
+            for a in range(min(rem + 1, len(et))):
+                total = walk(t + 1, rem - a, ex + et[a], acc + log[a], s + arg[a], total)
+            return total
+        lo = max(0, rem + 1 - len(e2))
+        for a, b in zip(range(lo, min(rem + 1, len(et))), range(rem - lo, -1, -1)):
+            total += cmath.exp(((ex + et[a]) + e2[b]) - (((acc + log[a]) + log2[b])
+                               - log_gamma(1.0 + ((s + arg[a]) + arg2[b]))))
+        return total
 
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for deg in range(top + 1 if grow else 1):
+        for logv, ej, row in grow if deg else ():
+            ej.append(deg * logv)
+            row.upto(deg)
+        yield deg, walk(0, deg, 0j, base, 0.0, 0j)
 
 
 def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
@@ -93,15 +92,12 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
     peak modulus over two consecutive degrees; the peak (rather than the
     current value) keeps the rule meaningful at a true zero of K.
     """
-    if cfg is None:
-        cfg = SeriesConfig()
+    cfg = cfg or SeriesConfig()
     for pt in (z, w):
         if phi(d, pt) > 0.7:
             raise PreconditionViolated(
                 f"series oracle wants phi <= 0.7, got {phi(d, pt):.4f}")
-    acc = 0j
-    peak = 0.0
-    quiet = 0
+    acc, peak, quiet = 0j, 0.0, 0
     for deg, inc in _degree_increments(d, z, w, cfg.max_degree):
         acc += inc
         peak = max(peak, abs(acc))
@@ -139,11 +135,10 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _polydisc_blocks(d: DomainSpec, samples: int, seed: int, want_points: bool):
-    """Per block of uniform polydisc draws: the inside mask, and the inside
-    points if ``want_points``.  A block draws u = |z_j|^2, then the angles, so
-    z_j = sqrt(u) e^(i theta).  phi needs only u; points are built only where
-    wanted or where phi is within _GUARD of 1, and the mask is redone on them,
-    so it equals the test on complex points bit for bit."""
+    """Per block of uniform polydisc draws: the inside mask, then the inside
+    rows and their points if ``want_points``.  A block draws u = |z_j|^2, then
+    the angles, so z_j = sqrt(u) e^(i theta).  phi needs only u; rows within
+    _GUARD of phi = 1 are retested on their points, as complex points decide."""
     import numpy as np
 
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1e4:
@@ -154,17 +149,17 @@ def _polydisc_blocks(d: DomainSpec, samples: int, seed: int, want_points: bool):
         u = rng.random((min(_MC_BLOCK, samples - start), d.total_dim))
         phi_u = _phi_many(d, u)
         inside = phi_u < 1.0
-        rows = np.abs(phi_u - 1.0) < _GUARD
-        if want_points:
-            rows |= inside
+        band = np.abs(phi_u - 1.0) < _GUARD
+        rows = np.flatnonzero(inside | band if want_points else band)
         pts = None
-        if np.any(rows):
-            theta = 2.0 * math.pi * rng.random(u.shape)
-            pts = np.sqrt(u[rows]) * np.exp(1j * theta[rows])
-            hit = _phi_many(d, np.abs(pts) ** 2) < 1.0
-            inside[rows] = hit
-            pts = pts[hit]
-        yield inside, pts
+        if rows.size:
+            theta = rng.random(u.shape)[rows]
+            pts = np.sqrt(u[rows]) * np.exp(1j * (2.0 * math.pi * theta))
+            recheck = np.flatnonzero(band[rows])
+            if recheck.size:
+                inside[rows[recheck]] = _phi_many(d, np.abs(pts[recheck]) ** 2) < 1.0
+                rows, pts = rows[inside[rows]], pts[inside[rows]]
+        yield inside, rows, pts
 
 
 def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
@@ -174,9 +169,8 @@ def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
     """
     import numpy as np
 
-    hits = 0
-    for inside, _ in _polydisc_blocks(d, samples, seed, False):
-        hits += int(np.count_nonzero(inside))
+    hits = sum(int(np.count_nonzero(inside))
+               for inside, _, _ in _polydisc_blocks(d, samples, seed, False))
     rate = hits / samples
     scale = math.pi ** d.total_dim
     return scale * rate, scale * math.sqrt(rate * (1.0 - rate) / samples)
@@ -232,19 +226,19 @@ def reproducing_check(d: DomainSpec, K: Callable[..., np.ndarray],
         raise PreconditionViolated(
             f"reproducing_check wants phi(z) <= 0.5, got {phi(d, z):.4f}")
     scale = math.pi ** d.total_dim
-    total = 0j
-    total_sq = 0.0
-    for inside, w_in in _polydisc_blocks(d, samples, seed, True):
-        vals = np.zeros(inside.shape, dtype=complex)
-        if np.any(inside):
-            vals[inside] = np.asarray(K(z, w_in)) * poly_eval(h, w_in)
+    total, total_sq = 0j, 0.0
+    for inside, rows, w_in in _polydisc_blocks(d, samples, seed, True):
+        # the values go into zero arrays, so each np.sum sees the whole block
+        vals, sq = np.zeros(inside.shape, dtype=complex), np.zeros(inside.shape)
+        if rows.size:
+            vals[rows] = kv = np.asarray(K(z, w_in)) * poly_eval(h, w_in)
+            sq[rows] = np.abs(kv) ** 2
         total += complex(np.sum(vals))
-        total_sq += float(np.sum(np.abs(vals) ** 2))
+        total_sq += float(np.sum(sq))
     mean = total / samples
     estimate = scale * mean
     var = total_sq / samples - abs(mean) ** 2
     stderr = scale * math.sqrt(max(var, 0.0) / samples)
-    zz = np.asarray([z], dtype=complex)
-    expected = complex(poly_eval(h, zz)[0])
+    expected = complex(poly_eval(h, np.asarray([z], dtype=complex))[0])
     return ReproducingResidual(abs(estimate - expected), estimate, expected,
                                stderr, samples)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -171,10 +172,11 @@ def series_reference(d, z, w, cfg=SeriesConfig()):
     acc, peak, quiet = 0j, 0.0, 0
     for deg in range(cfg.max_degree + 1):
         inc = 0j
-        # lexicographic order, the order series_kernel enumerates them in
-        for comp in itertools.product(range(deg + 1), repeat=len(active)):
-            if sum(comp) != deg:
-                continue
+        # lexicographic order, the order series_kernel enumerates them in; the
+        # last active coordinate takes what the others leave of deg
+        heads = itertools.product(range(deg + 1), repeat=max(len(active) - 1, 0))
+        comps = [h + (deg - sum(h),) for h in heads if sum(h) <= deg] if active else [()]
+        for comp in comps:
             alpha = [0] * n
             ex = 0j
             for slot, a in enumerate(comp):
@@ -204,6 +206,39 @@ def series_reference(d, z, w, cfg=SeriesConfig()):
 def test_series_bits_equal_term_by_term_reference(exps, z, w):
     d = diagonal_domain(*exps)
     assert series_kernel(d, z, w).value == series_reference(d, z, w)
+
+
+def sweep_draws(count, seed):
+    """Seeded (exps, z, w) over oracle-check's series shapes (2, p), (2, 2, p)
+    and (3, 3, p).  A quarter repeat the leading exponent as p, so many terms
+    share one Gamma argument; a fifth each put v_j = 0 on the first, a middle
+    or the last coordinate, or take w = z."""
+    rng = random.Random(seed)
+    for i in range(count):
+        lead = ((2.0,), (2.0, 2.0), (3.0, 3.0))[i % 3]
+        exps = lead + (lead[0] if i % 4 == 0 else rng.uniform(1.5, 8.0),)
+        n, kind = len(exps), i % 5
+        pts = []
+        for _ in "zw":
+            # phi = sum of the shares r_j of a budget drawn in (0.05, 0.5)
+            r = [rng.random() + 0.05 for _ in exps]
+            budget = rng.uniform(0.05, 0.5) / sum(r)
+            pts.append([(budget * rj) ** (p / 2.0) * cmath.exp(2j * math.pi * rng.random())
+                        for rj, p in zip(r, exps)])
+        z, w = pts
+        if kind < 3:
+            z[(0, n // 2, n - 1)[kind]] = 0j
+        elif kind == 4:
+            w = z
+        yield exps, tuple(z), tuple(w)
+
+
+def test_series_sweep_bits_equal_term_by_term_reference():
+    draws = list(sweep_draws(200, seed=35))
+    assert {len(exps) for exps, _, _ in draws} == {2, 3}
+    for exps, z, w in draws:
+        d = diagonal_domain(*exps)
+        assert series_kernel(d, z, w).value == series_reference(d, z, w), (exps, z, w)
 
 
 # ---------------------------------------------------------------- deflation
@@ -423,6 +458,44 @@ def assert_reproducing_pinned():
 
 def test_reproducing_pinned():
     assert_reproducing_pinned()
+
+
+@pytest.mark.parametrize("d, K, h, z, want", [
+    (diagonal_domain(2.0, 2.0), k22_K, {(1, 0): 1.0, (0, 2): 0.3 - 0.2j},
+     (0.15 + 0.1j, 0.2j),
+     (0.004202020789072852, 0.13472554565922165 + 0.11063342504771988j,
+      0.003084393818527225)),
+    (diagonal_domain(2.0, 3.3), lambda z, pts: slice_kp_values(
+        3.3, z[0] * np.conj(pts[:, 0]), z[1] * np.conj(pts[:, 1])),
+     {(0, 0): 1.0, (1, 1): 0.5j}, (0.1, 0.1 - 0.05j),
+     (0.0027553438241797066, 0.9998574275636645 + 0.004219788164557069j,
+      0.007864989641465451)),
+])
+def test_reproducing_pinned_over_a_partial_last_block(d, K, h, z, want):
+    # 200,000 draws: three full blocks and a partial one, as oracle-check runs
+    # them; recorded when every inside row was rechecked on its complex point
+    res = reproducing_check(d, K, h, z, 200_000, seed=35)
+    assert (float(res), res.estimate, res.stderr) == want
+
+
+def test_reproducing_rechecks_only_guard_band_rows(monkeypatch):
+    # with no draw within the guard band of phi = 1, phi runs once per block,
+    # on the squared radii, and never on complex points
+    import bergman.oracle
+
+    d = diagonal_domain(2.0, 2.0)
+    for block in range(4):
+        u = _block_rng(35, block).random((_MC_BLOCK, 2))
+        assert not np.any(np.abs(_phi_many(d, u) - 1.0) < bergman.oracle._GUARD)
+    calls = []
+
+    def counting(dom, sq):
+        calls.append(sq.shape[0])
+        return _phi_many(dom, sq)
+
+    monkeypatch.setattr(bergman.oracle, "_phi_many", counting)
+    reproducing_check(d, k22_K, {(1, 0): 1.0}, (0.15 + 0.1j, 0.2j), 200_000, seed=35)
+    assert calls == [_MC_BLOCK] * 3 + [200_000 - 3 * _MC_BLOCK]
 
 
 def test_reproducing_stderr_scales_with_samples():
