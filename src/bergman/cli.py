@@ -282,16 +282,12 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _check(label: str, ok: bool, detail: str, results: list) -> None:
-    results.append((label, ok, detail))
-
-
-def _suite_deflation(seed: int, results: list) -> None:
+def _suite_deflation(seed: int):
     want = {(2.0, 2.0): math.pi ** 2 / 6.0, (1.0, 3.0): math.pi ** 2 / 4.0}
     for (p, q), expect in want.items():
         got = deflation_constant(p, q)
-        _check(f"deflation/constant-{p:g}-{q:g}", got == expect,
-               f"got {_fmt(got)}, want {_fmt(expect)}", results)
+        yield (f"deflation/constant-{p:g}-{q:g}", got == expect,
+               f"got {_fmt(got)}, want {_fmt(expect)}")
     base = diagonal_domain(2.0)
     for p, q in ((2.0, 2.0), (1.0, 3.0)):
         lhs, rhs, _ = deflation_pair(base, p, q)
@@ -300,11 +296,10 @@ def _suite_deflation(seed: int, results: list) -> None:
             a = lhs((z0,), (w0,))
             b = rhs((z0,), (w0,))
             worst = max(worst, abs(a - b) / abs(b))
-        _check(f"deflation/identity-{p:g}-{q:g}", worst < 1e-6,
-               f"max rel diff {_fmt(worst)}", results)
+        yield f"deflation/identity-{p:g}-{q:g}", worst < 1e-6, f"max rel diff {_fmt(worst)}"
 
 
-def _suite_origin_values(seed: int, results: list) -> None:
+def _suite_origin_values(seed: int):
     for label, dom in (
             ("disc", diagonal_domain(2.0)),
             ("ball-2", DomainSpec((Block(2, 1.0),))),
@@ -314,11 +309,10 @@ def _suite_origin_values(seed: int, results: list) -> None:
             ("mixed-4", DomainSpec((Block(1, 2.0), Block(3, 1.0))))):
         origin = (0j,) * dom.total_dim
         err = abs(evaluate(dom, origin, origin).value * volume(dom) - 1.0)
-        _check(f"origin-values/{label}", err < 1e-12,
-               f"|K(0,0) vol - 1| = {_fmt(err)}", results)
+        yield f"origin-values/{label}", err < 1e-12, f"|K(0,0) vol - 1| = {_fmt(err)}"
 
 
-def _suite_fold_disc(seed: int, results: list) -> None:
+def _suite_fold_disc(seed: int):
     import numpy as np
 
     # {|zeta|^(2/p) < 1} is the disc again, so fold(L, p) must be L; radii on
@@ -335,11 +329,10 @@ def _suite_fold_disc(seed: int, results: list) -> None:
                 a = F.eval((), (), jet1_variable(t, 0)).coeffs[0]
                 b = L.eval((), (), jet1_variable(t, 0)).coeffs[0]
                 worst = max(worst, abs(a - b) / abs(b))
-    _check("fold-disc/identity", worst < 1e-12,
-           f"max rel diff {_fmt(worst)}", results)
+    yield "fold-disc/identity", worst < 1e-12, f"max rel diff {_fmt(worst)}"
 
 
-def _suite_oracle(seed: int, results: list) -> None:
+def _suite_oracle(seed: int):
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -364,11 +357,10 @@ def _suite_oracle(seed: int, results: list) -> None:
             got = series_kernel(d, z, w, cfg).value
             ref = evaluate(d, z, w).value
             worst = max(worst, abs(got - ref) / abs(ref))
-        _check(f"oracle/{label}-agreement", worst < 1e-6,
-               f"max rel diff {_fmt(worst)}", results)
+        yield f"oracle/{label}-agreement", worst < 1e-6, f"max rel diff {_fmt(worst)}"
 
 
-def _suite_reproducing(seed: int, results: list) -> None:
+def _suite_reproducing(seed: int):
     import numpy as np
 
     samples = 200_000
@@ -378,10 +370,9 @@ def _suite_reproducing(seed: int, results: list) -> None:
         return ball_kernel_values(1, z[0] * np.conj(pts[:, 0]))
 
     res = reproducing_check(disc, disc_K, {(0,): 1.0}, (0j,), samples, seed)
-    ok = float(res) <= max(3.0 * res.stderr, 1e-3) and res.stderr > 0.0
-    _check("reproducing/disc-constant", ok,
-           f"residual {_fmt(float(res))}, 3 stderr {_fmt(3.0 * res.stderr)}",
-           results)
+    yield ("reproducing/disc-constant",
+           res.residual <= max(3.0 * res.stderr, 1e-3) and res.stderr > 0.0,
+           f"residual {_fmt(res.residual)}, 3 stderr {_fmt(3.0 * res.stderr)}")
 
     d22 = diagonal_domain(2.0, 2.0)
 
@@ -389,10 +380,8 @@ def _suite_reproducing(seed: int, results: list) -> None:
         return k2_values(z[0] * np.conj(pts[:, 0]), z[1] * np.conj(pts[:, 1]))
 
     res = reproducing_check(d22, k2_K, {(1, 0): 1.0}, (0.2, 0.1), samples, seed)
-    ok = float(res) <= max(3.0 * res.stderr, 5e-3)
-    _check("reproducing/k2-linear", ok,
-           f"residual {_fmt(float(res))}, 3 stderr {_fmt(3.0 * res.stderr)}",
-           results)
+    yield ("reproducing/k2-linear", res.residual <= max(3.0 * res.stderr, 5e-3),
+           f"residual {_fmt(res.residual)}, 3 stderr {_fmt(3.0 * res.stderr)}")
 
 
 _SUITES = {
@@ -411,9 +400,7 @@ def _cmd_verify(args) -> int:
             + ", ".join(sorted(_SUITES)) + ", all")
     names = list(_SUITES) if not args.suite or args.suite == "all" \
         else [args.suite]
-    results: list[tuple[str, bool, str]] = []
-    for name in names:
-        _SUITES[name](args.seed, results)
+    results = [check for name in names for check in _SUITES[name](args.seed)]
     lines = [f"[verify] {label}: {'PASS' if ok else 'FAIL'} ({detail})"
              for label, ok, detail in results]
     passed = sum(ok for _, ok, _ in results)

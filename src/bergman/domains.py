@@ -148,12 +148,18 @@ class NormRow:
     demand by ``upto``: log p + log Gamma(p (a+1)) in ``log[a]``, p (a+1) in ``arg[a]``."""
 
     def __init__(self, p: float):
-        self.p, self.log, self.arg = p, [], []
+        self.p, self.log_p, self.log, self.arg = p, math.log(p), [], []
+
+    def share(self, a: int) -> tuple[float, float]:
+        """(log[a], arg[a]) alone, without the entries below a."""
+        arg = self.p * (a + 1)
+        return self.log_p + log_gamma(arg), arg
 
     def upto(self, top: int) -> None:
         for a in range(len(self.log), top + 1):
-            self.log.append(math.log(self.p) + log_gamma(self.p * (a + 1)))
-            self.arg.append(self.p * (a + 1))
+            log, arg = self.share(a)
+            self.log.append(log)
+            self.arg.append(arg)
 
 
 def log_norm_table(d: DomainSpec) -> tuple[float, list[NormRow]]:
@@ -185,8 +191,8 @@ def log_monomial_norm_sq(d: DomainSpec, alpha) -> float:
     acc, rows = log_norm_table(d)
     s = 0.0
     for row, k in zip(rows, a):
-        row.upto(k)
-        acc, s = acc + row.log[k], s + row.arg[k]
+        log, arg = row.share(k)
+        acc, s = acc + log, s + arg
     return acc - log_gamma(1.0 + s)
 
 

@@ -116,13 +116,11 @@ def _hartogs_fpp(p: float, s, y):
     return p * q * (2.0 * p * q - p + 1.0) / (b * b * d)
 
 
-def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
-                     head=()) -> list[complex]:
+def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int) -> list[complex]:
     """Coefficients to ``order`` of ((1-t)^p - y)^-m at t = tau: the steps of
     b = jet_rpow(1.0 - t, p) - y and m divisions by b, on lists, so the same bits.
     The base 1 - tau - t is linear: of _rpow1's sum only the j = 1 term is left.
-    Every coefficient is the same at any order, so the last division may start
-    from ``head``, the result of a lower-order call.
+    Every coefficient is the same at any order.
     An interior b_0 reads 0 only where (1-tau)^p underflows, so K overflows there."""
     a0 = (1 + 0j) - complex(tau)
     if abs(a0) < _ZERO_EPS:
@@ -135,9 +133,9 @@ def _recip_power_jet(tau: complex, p: float, y: complex, m: int, order: int,
     if abs(b0) < _ZERO_EPS:
         raise OverflowError(f"(1 - tau)^p underflows to 0 at p = {p}, tau = {tau}")
     g = [1 + 0j] + [0j] * order
-    for i in range(m):
-        out = list(head) if head and i == m - 1 else [g[0] / b0]
-        for k in range(len(out), order + 1):
+    for _ in range(m):
+        out = [g[0] / b0]
+        for k in range(1, order + 1):
             s = g[k]
             for j in range(1, k + 1):
                 s = s - b[j] * out[k - j]
@@ -420,7 +418,7 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
     # a combination's jet stops at the last term that _filter_bounds cannot show
     # to be below a quarter ulp of both parts of the sum at its place; a term
     # past it that fails that test brings in the full order, for this and every
-    # later combination, and the first coefficients are the same bits either way
+    # later combination, and the first coefficients are the same bits at any order
     bounded = len(terms) > 1 and not exact  # the bounds take order! as a float
     weights = [_FILTER_SAFETY * math.factorial(deg) * math.prod(map(abs, factors))
                for deg, factors in terms] if bounded else []
@@ -445,7 +443,7 @@ def general_folded_kernel(p_list: Sequence[int], p: float, pt: KernelPoint,
                     room = 0.25 * min(math.ulp(contrib.real), math.ulp(contrib.imag))
                 if bound < room:
                     continue
-                g = _recip_power_jet(tau, p, y, 1, order, g)
+                g = _recip_power_jet(tau, p, y, 1, order)
                 bounded, short = False, order
             contrib += math.prod(factors, start=g[deg] if exact else
                                  _factorial_times(g[deg], deg))
@@ -509,10 +507,10 @@ def k2_closed_form(x: complex, y: complex) -> KernelValue:
     """
     if not math.sqrt(abs(x)) + math.sqrt(abs(y)) <= 1.0 + 1e-12:
         raise OutsideDomain(f"slice pairings ({x}, {y}) not reachable")
-    num, delta = _k2_terms(x, y)
-    if delta == 0:
-        raise PoleHit(f"denominator vanished at ({x}, {y})")
-    return KernelValue(2.0 * num / (math.pi ** 2 * delta ** 3.0), "k2_closed")
+    try:
+        return KernelValue(k2_values(x, y), "k2_closed")
+    except ZeroDivisionError:
+        raise PoleHit(f"denominator vanished at ({x}, {y})") from None
 
 
 def _k2_terms(x, y):

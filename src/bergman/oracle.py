@@ -45,7 +45,8 @@ def _degree_increments(d: DomainSpec, z, w, top: int):
     each degree lexicographically, the last two coordinates as one flat loop,
     over rows of a log v_j, v_j = z_j * conj(w_j), and of log_norm_table grown a
     degree at a time, with prefix sums left to right.  Where v_j = 0 only a = 0
-    is taken; its 0j in the exponent moves no bit of the sums from 0j."""
+    is taken; its 0j in the exponent moves no bit of the sums from 0j.  With no
+    v_j nonzero, degrees 1 and 2 add 0j, so the stop rule returns the constant."""
     if not d.is_diagonal:
         raise UnsupportedDomain("series oracle needs a diagonal domain")
     n = d.total_dim
@@ -77,7 +78,7 @@ def _degree_increments(d: DomainSpec, z, w, top: int):
                                - log_gamma(1.0 + ((s + arg[a]) + arg2[b]))))
         return total
 
-    for deg in range(top + 1 if grow else 1):
+    for deg in range(top + 1 if grow else 3):
         for logv, ej, row in grow if deg else ():
             ej.append(deg * logv)
             row.upto(deg)
@@ -104,9 +105,6 @@ def series_kernel(d: DomainSpec, z: Sequence[complex], w: Sequence[complex],
         quiet = quiet + 1 if abs(inc) < cfg.stop_rel * peak else 0
         if quiet >= 2:
             return KernelValue(acc, "series_oracle")
-    if not any(zj * complex(wj).conjugate() != 0 for zj, wj in zip(z, w)):
-        # only the constant term exists; the series is exact
-        return KernelValue(acc, "series_oracle")
     raise NoConvergence(
         f"series did not settle by degree {cfg.max_degree} (phi too close to 1?)")
 
@@ -176,22 +174,18 @@ def mc_volume(d: DomainSpec, samples: int, seed: int) -> tuple[float, float]:
     return scale * rate, scale * math.sqrt(rate * (1.0 - rate) / samples)
 
 
-class ReproducingResidual(float):
-    """|MC estimate - h(z)|, a float carrying the pieces it came from."""
+@dataclass(frozen=True)
+class ReproducingResidual:
+    """|MC estimate - h(z)| with the pieces it came from; float() reads the residual."""
 
+    residual: float
     estimate: complex
     expected: complex
     stderr: float
     samples: int
 
-    def __new__(cls, residual: float, estimate: complex, expected: complex,
-                stderr: float, samples: int):
-        obj = super().__new__(cls, residual)
-        obj.estimate = estimate
-        obj.expected = expected
-        obj.stderr = stderr
-        obj.samples = samples
-        return obj
+    def __float__(self) -> float:
+        return self.residual
 
 
 def poly_eval(h: Mapping[tuple[int, ...], complex], pts: np.ndarray) -> np.ndarray:
@@ -217,8 +211,8 @@ def reproducing_check(d: DomainSpec, K: Callable[..., np.ndarray],
     ``K(z, pts)`` must return the kernel values K(z, w_i) for an array of
     points w_i (rows of pts).  The integrand is extended by zero outside the
     domain and averaged over the bounding polydisc, so ``samples`` counts
-    draws, not acceptances.  Returns |estimate - h(z)| with the standard
-    error attached.
+    draws, not acceptances.  Returns |estimate - h(z)| with the estimate, h(z),
+    the standard error and the draws beside it.
     """
     import numpy as np
 

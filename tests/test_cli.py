@@ -423,7 +423,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys, monkeypatch, suite, code):
     # a forced failure shows that --out keeps the exit code
     monkeypatch.setitem(cli._SUITES, "deflation",
-                        lambda seed, results: results.append(("forced", False, "-")))
+                        lambda seed: [("forced", False, "-")])
     argv = ["verify", "--suite", suite]
     assert main(argv) == code
     out = capsys.readouterr().out

@@ -175,6 +175,31 @@ def test_monomial_norm_dimension_mismatch():
         monomial_norm_sq(diagonal_domain(2, 2), (0, 0, 0))
 
 
+def test_monomial_norm_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="negative"):
+        log_monomial_norm_sq(diagonal_domain(2, 2), (1, -1))
+
+
+@pytest.mark.parametrize("alpha, want", [
+    ((1, 2), "-0x1.a46d1d918e590p+2"),
+    ((3, 40), "-0x1.0175d91c54fd0p+5"),
+    ((0, 150), "-0x1.d292d99013900p+3"),
+])
+def test_monomial_norm_keeps_its_bits_in_n_plus_one_log_gammas(monkeypatch, alpha, want):
+    # one share per coordinate, at its own exponent, and the Gamma of the sum
+    import bergman.domains
+
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return log_gamma(x)
+
+    monkeypatch.setattr(bergman.domains, "log_gamma", counting)
+    assert log_monomial_norm_sq(diagonal_domain(2, 3.5), alpha).hex() == want
+    assert len(calls) == 3
+
+
 def test_volume_catalog():
     assert volume(diagonal_domain(1)) == pytest.approx(math.pi, rel=1e-12)
     assert volume(diagonal_domain(2, 2)) == pytest.approx(
@@ -183,6 +208,25 @@ def test_volume_catalog():
         math.pi ** 2 / 3.0, rel=1e-12)
     assert volume(diagonal_domain(2, 2, 2)) == pytest.approx(
         math.pi ** 3 / 90.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [
+    ((1, 60.0), (1, 60.0), (1, 60.0)),
+    ((2, 50.0), (1, 80.5)),
+    ((1, 2.5), (3, 57.0)),
+])
+def test_volume_in_log_space_past_gamma_170(blocks):
+    # 1 + sum p_j m_j > 170 takes the log branch; its logs reach about 1e3 in
+    # size, so rounding leaves a few 1e-13 of the value
+    from mpmath import mp
+
+    d = DomainSpec(tuple(Block(m, p) for m, p in blocks))
+    assert 1.0 + sum(m * p for m, p in blocks) > 170.0
+    with mp.workdps(30):
+        want = mp.pi ** d.total_dim / mp.gamma(1 + sum(m * mp.mpf(p) for m, p in blocks))
+        for m, p in blocks:
+            want *= p * mp.gamma(m * mp.mpf(p)) / mp.gamma(m)
+        assert abs(volume(d) - want) <= 1e-12 * want
 
 
 def test_volume_vector_blocks():

@@ -250,6 +250,13 @@ def test_pflate_reduces_to_hartogs2():
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_pflate_rejects_outside_points():
+    # phi = 0.81 + 0.81^(1/2) > 1 in the first point, then in the second
+    for z, w in (((0.9, 0.9), (0.1, 0.1)), ((0.1, 0.1), (0.9, 0.9))):
+        with pytest.raises(OutsideDomain):
+            pflate_kernel(1, 1, 2.0, z[:1], z[1:], w[:1], w[1:])
+
+
 def test_pflate_rejects_zero_dimensions():
     with pytest.raises(InvalidOrder):
         pflate_kernel(0, 1, 2.0, (), (0.1,), (), (0.1,))
@@ -349,6 +356,12 @@ def test_slice_small_root_branch_seam():
 def test_slice_rejects_outside_pairings():
     with pytest.raises(OutsideDomain):
         slice_kernel_kp(2.0, 0.6 + 0j, 0.5 + 0j)
+
+
+def test_slice_raises_overflow_where_the_power_underflows():
+    # (1 - xi)^p = 0.5^1e5 is 0 in a double, so D = 0 at an interior point
+    with pytest.raises(OverflowError, match="underflows"):
+        slice_kernel_kp(1e5, 0.25 + 0j, 0j)
 
 
 @pytest.mark.parametrize("p, r, y", [
@@ -454,6 +467,12 @@ def test_general_fold_rejects_outside_point():
         general_folded_kernel((2,), 2.0, KernelPoint(z=(0.9, 0.9), w=(0j, 0j)))
 
 
+def test_general_fold_rejects_the_wrong_number_of_coordinates():
+    for z in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(OutsideDomain, match="expected 2"):
+            general_folded_kernel((2,), 2.0, KernelPoint(z=z, w=z))
+
+
 def test_kernel_point_length_mismatch():
     with pytest.raises(OutsideDomain):
         KernelPoint(z=(0.1,), w=(0.1, 0.2))
@@ -539,6 +558,11 @@ def test_odd_quotient_array_matches_its_scalar_entries(a, m, scale):
 def test_mixed_family_rejects_outside_ball():
     with pytest.raises(OutsideDomain):
         mixed_family_kernel(3, (0.8, 0.7, 0.0), (0j, 0j, 0j))
+
+
+def test_mixed_family_rejects_dimension_below_two():
+    with pytest.raises(InvalidOrder):
+        mixed_family_kernel(1, (0.1,), (0.1,))
 
 
 NAN = float("nan")

@@ -127,6 +127,16 @@ def test_series_diagonal_increments_are_positive():
         assert abs(inc.imag) <= 1e-15 * max(1.0, inc.real)
 
 
+def test_series_increments_reject_points_of_the_wrong_length():
+    # series_kernel's phi refuses these first, so the walk is called directly
+    from bergman.oracle import _degree_increments
+
+    d = diagonal_domain(2.0, 2.0)
+    for z, w in (((0.1,), (0.1, 0.2)), ((0.1, 0.2), (0.1, 0.2, 0.3))):
+        with pytest.raises(PreconditionViolated, match="2-dimensional"):
+            next(_degree_increments(d, z, w, 5))
+
+
 def test_series_rejects_vector_blocks():
     d = DomainSpec((Block(2, 1.0),))
     with pytest.raises(UnsupportedDomain):

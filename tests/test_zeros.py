@@ -472,6 +472,18 @@ def test_axis1_count_at_report_radius_matches_closed_form(p):
     assert count_zeros_winding(axis1_slice(p), r) == count
 
 
+@pytest.mark.parametrize("m", [0.0, -3.0, float("nan")])
+def test_odd_quotient_locus_rejects_a_nonpositive_exponent(m):
+    with pytest.raises(PreconditionViolated, match="must be positive"):
+        odd_quotient_zero_locus(m, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -2.0])
+def test_axis2_locus_rejects_a_nonpositive_exponent(p):
+    with pytest.raises(PreconditionViolated, match="must be positive"):
+        axis2_zero_locus(p)
+
+
 def test_odd_quotient_locus_caps_the_listed_zeros():
     # m = 4000 lists 1,998 zeros; above it the locus refuses before listing
     with pytest.raises(PreconditionViolated, match="exceeds 4000"):
