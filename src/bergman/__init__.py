@@ -57,32 +57,26 @@ from .kernels import (
     simplex_restriction_constant,
     slice_kernel_kp,
 )
-from .oracle import (
-    ReproducingResidual,
-    SeriesConfig,
-    mc_volume,
-    reproducing_check,
-    series_kernel,
-)
-from .zeros import (
-    SliceFunction,
-    TwoVarSlice,
-    Zero,
-    ZeroReport,
-    axis1_slice,
-    axis1_zero_locus,
-    axis2_slice,
-    axis2_zero_locus,
-    count_zeros_winding,
-    grid_zero_scan,
-    k2_axis_slice,
-    k2_interior_positivity,
-    k2_pair_slice,
-    mixed_slice,
-    newton_refine,
-    odd_quotient_zero_locus,
-    simplex_slice,
-)
+# oracle and zeros, and the names they define, load on first access (PEP 562)
+_LAZY = dict.fromkeys(("ReproducingResidual", "SeriesConfig", "mc_volume",
+                       "reproducing_check", "series_kernel"), "oracle")
+_LAZY.update(dict.fromkeys((
+    "SliceFunction", "TwoVarSlice", "Zero", "ZeroReport", "axis1_slice",
+    "axis1_zero_locus", "axis2_slice", "axis2_zero_locus",
+    "count_zeros_winding", "grid_zero_scan", "k2_axis_slice",
+    "k2_interior_positivity", "k2_pair_slice", "mixed_slice", "newton_refine",
+    "odd_quotient_zero_locus", "simplex_slice"), "zeros"))
+
+
+def __getattr__(name):
+    home = _LAZY.get(name, name if name in ("oracle", "zeros") else None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{home}", __name__)
+    return module if home == name else getattr(module, name)
+
 
 __version__ = "0.1.0"
 
@@ -100,12 +94,6 @@ __all__ = [
     "hartogs_profile", "inflate", "k2_closed_form", "mixed_family_kernel",
     "pairing", "pflate_kernel", "simplex_restriction_constant",
     "slice_kernel_kp",
-    "ReproducingResidual", "SeriesConfig", "mc_volume", "reproducing_check",
-    "series_kernel",
-    "SliceFunction", "TwoVarSlice", "Zero", "ZeroReport", "axis1_slice",
-    "axis1_zero_locus", "axis2_slice", "axis2_zero_locus",
-    "count_zeros_winding", "grid_zero_scan", "k2_axis_slice",
-    "k2_interior_positivity", "k2_pair_slice", "mixed_slice", "newton_refine",
-    "odd_quotient_zero_locus", "simplex_slice",
+    *_LAZY,
     "__version__",
 ]

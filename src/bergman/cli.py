@@ -27,6 +27,7 @@ from .domains import (
 from .errors import BergmanError, OutsideDomain
 from .jets import jet1_variable
 from .kernels import (
+    MAX_RESOLUTION,
     ball_kernel_values,
     deflation_constant,
     deflation_pair,
@@ -35,8 +36,6 @@ from .kernels import (
     fold,
     k2_values,
 )
-from .oracle import SeriesConfig, reproducing_check, series_kernel
-from .zeros import FAMILIES, MAX_RESOLUTION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,6 +155,8 @@ def _parse_range(text: str, label: str) -> list[float]:
 def _family(name: str, args):
     """The record of --family name and its --p or --n value (None for k2),
     that value and --res checked."""
+    from .zeros import FAMILIES
+
     if name not in FAMILIES:
         raise _Usage(f"unknown family {name!r}; pick {', '.join(FAMILIES)}")
     if not 1 <= args.res <= MAX_RESOLUTION:
@@ -164,15 +165,15 @@ def _family(name: str, args):
     if fam.param is None:
         return fam, None
     value = getattr(args, fam.param)
-    (value,) = _family_values(name, fam.param, None if value is None else [value])
+    (value,) = _family_values(name, fam.param, fam.param,
+                              None if value is None else [value])
     return fam, value
 
 
-def _family_values(name: str, flag: str, values: list | None) -> list:
-    """The values given for the parameter of family name by --flag, each checked."""
+def _family_values(name: str, flag: str, param: str, values: list | None) -> list:
+    """The values given for the parameter param of family name by --flag, each checked."""
     if values is None:
         raise _Usage(f"--family {name} needs --{flag}")
-    param = FAMILIES[name].param
     for v in values:
         if param == "p":
             _check_positive(flag, v)
@@ -208,7 +209,9 @@ def _cmd_eval(args) -> int:
     if args.check_oracle:
         if not d.is_diagonal:
             raise _Usage("--check-oracle needs a diagonal domain")
-        ov = series_kernel(d, z, w, SeriesConfig())
+        from .oracle import series_kernel
+
+        ov = series_kernel(d, z, w)
         diff = abs(kv.value - ov.value)
         denom = abs(ov.value)
         record["oracle"] = _complex_record(ov.value)
@@ -265,6 +268,8 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .zeros import FAMILIES
+
     swept = [name for name, fam in FAMILIES.items() if fam.param is not None]
     if args.family not in swept:
         raise _Usage(f"sweep supports {', '.join(swept)}; got {args.family!r}")
@@ -272,7 +277,8 @@ def _cmd_sweep(args) -> int:
     flag = "p1" if fam.param == "p" else "n"
     grid = getattr(args, flag)
     lines = [f"{flag},status"]
-    for v in _family_values(args.family, flag, grid and _parse_range(" ".join(grid), flag)):
+    for v in _family_values(args.family, flag, fam.param,
+                            grid and _parse_range(" ".join(grid), flag)):
         label = _fmt(v) if fam.param == "p" else int(v)
         lines.append(f"{label},{'zeroed' if fam.zeroed(v) else 'zero-free'}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -335,8 +341,9 @@ def _suite_fold_disc(seed: int):
 def _suite_oracle(seed: int):
     import numpy as np
 
+    from .oracle import series_kernel
+
     rng = np.random.default_rng(seed)
-    cfg = SeriesConfig()
 
     def draw(budget: float, p: float) -> tuple[complex, complex]:
         while True:
@@ -354,7 +361,7 @@ def _suite_oracle(seed: int):
             z = (complex(xr), complex(yr))
             w = ((x / xr).conjugate() if xr else 0j,
                  (y / yr).conjugate() if yr else 0j)
-            got = series_kernel(d, z, w, cfg).value
+            got = series_kernel(d, z, w).value
             ref = evaluate(d, z, w).value
             worst = max(worst, abs(got - ref) / abs(ref))
         yield f"oracle/{label}-agreement", worst < 1e-6, f"max rel diff {_fmt(worst)}"
@@ -362,6 +369,8 @@ def _suite_oracle(seed: int):
 
 def _suite_reproducing(seed: int):
     import numpy as np
+
+    from .oracle import reproducing_check
 
     samples = 200_000
     disc = diagonal_domain(2.0)

@@ -44,6 +44,8 @@ from .jets import (
 # Below this modulus of what a fold divides by (the pairing in general_folded_kernel, its
 # root in the p = 2 folds) the direct form loses a factor |x|^-1; a limit branch takes over.
 EPS_SWITCH = 1e-3
+# largest zero-scan and locus grid: res^2 polar points; k2 floors ~res^4/1400 cells
+MAX_RESOLUTION = 256
 
 
 @dataclass(frozen=True)

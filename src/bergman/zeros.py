@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import NoConvergence, PreconditionViolated
 from .jets import Jet1
 from .kernels import (
+    MAX_RESOLUTION,
     _axis2_coefficients,
     _k2_cell_floor,
     _k2_terms,
@@ -36,7 +37,6 @@ _ROOTS_MAX_M = 1 << 14  # deepest M whose contour points _ROOTS keeps: 16,384, 2
 _ROOTS: dict = {}  # (k, M, step) -> _unit_roots(k, M, step), for M <= _ROOTS_MAX_M
 # largest odd-quotient exponent m whose zeros are listed: at most 1,998 zeros
 _MAX_ODD_M = 4000.0
-MAX_RESOLUTION = 256  # largest scan grid: res^2 polar points; k2 floors ~res^4/1400 cells
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,9 @@ def axis2_zero_locus(p: float) -> ZeroReport:
     if abs(a) < 1e-12:
         if abs(b) > 1e-12:
             locs.append(complex(-c / b))
-    else:
+    else:  # the roots keep their bits at (a, b, c) over a power of two, b^2 - 4ac finite
+        e = -math.frexp(max(abs(a), abs(b), c))[1]
+        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
         disc = cmath.sqrt(b * b - 4.0 * a * c)
         locs.extend([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
     locs = [y for y in locs if abs(y) < 1.0]
@@ -431,11 +433,15 @@ class Family:
     rows: Callable[[float | None, int], Iterator[tuple[complex, complex, complex]]]
 
 
+def _locus_side(res: int) -> list[float]:
+    """np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res) bit for bit, without numpy."""
+    side = [i * (2.0 * _LOCUS_SPAN / max(res - 1, 1)) - _LOCUS_SPAN for i in range(res)]
+    return side[:-1] + [_LOCUS_SPAN] if res > 1 else side
+
+
 def _square_rows(slc: SliceFunction, res: int):
     """(t, 0, f(t)) over the res x res grid of [-_LOCUS_SPAN, _LOCUS_SPAN]^2."""
-    import numpy as np
-
-    side = np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res)
+    side = _locus_side(res)
     for re_t in side:
         for im_t in side:
             t = complex(re_t, im_t)
@@ -444,9 +450,7 @@ def _square_rows(slc: SliceFunction, res: int):
 
 def _line_rows(slc: SliceFunction, res: int):
     """(0, y, f(y)) over res real y in [-_LOCUS_SPAN, _LOCUS_SPAN]."""
-    import numpy as np
-
-    for y in np.linspace(-_LOCUS_SPAN, _LOCUS_SPAN, res):
+    for y in _locus_side(res):
         yield 0j, complex(y), complex(slc.eval(complex(y)))
 
 

@@ -468,29 +468,61 @@ def test_console_invocation_round_trip():
     assert rec["winding_count"] == 2
 
 
-# Closed forms and the series oracle use no arrays, so a run that takes only
-# them must not pay numpy's import (about 100 ms of a 230 ms child).
-@pytest.mark.parametrize("argv", [
-    None,
-    ["eval", "--domain", D22, "--z", "0.2,0.1"],
-    ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":4}]}',
-     "--z", "0.2,0.1"],
-    ["eval", "--domain", D22, "--z", "0.2,0.1", "--check-oracle"],
-    ["verify", "--suite", "origin-values"],
-], ids=["evaluate", "eval-k2", "eval-slice-kp", "eval-check-oracle",
-        "verify-origin-values"])
-def test_closed_form_runs_leave_numpy_unloaded(argv):
+# A child loads only what its subcommand runs: numpy (about 100 ms of a
+# 230 ms child) for arrays alone, oracle and zeros on first use of a name.
+# Each row: id, argv (None: import bergman and evaluate), what it loads.
+FOLD = '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":2},{"dim":1,"p":3.5}]}'
+LOADS = [
+    ("evaluate", None, set()),
+    ("eval-k2", ["eval", "--domain", D22, "--z", "0.2,0.1"], set()),
+    ("eval-slice-kp", ["eval", "--domain", '{"blocks":[{"dim":1,"p":2},{"dim":1,"p":4}]}',
+                       "--z", "0.2,0.1"], set()),
+    ("eval-fold", ["eval", "--domain", FOLD, "--z", "0.2,0.1,0.05"], set()),
+    ("verify-origin-values", ["verify", "--suite", "origin-values"], set()),
+    ("zeros-help", ["zeros", "--help"], set()),
+    ("eval-check-oracle", ["eval", "--domain", D22, "--z", "0.2,0.1", "--check-oracle"],
+     {"oracle"}),
+    ("locus-axis1", ["locus", "--family", "axis1", "--p", "4", "--res", "5"], {"zeros"}),
+    ("locus-axis2", ["locus", "--family", "axis2", "--p", "3", "--res", "5"], {"zeros"}),
+    ("locus-simplex", ["locus", "--family", "simplex", "--n", "3", "--res", "5"], {"zeros"}),
+    ("locus-mixed", ["locus", "--family", "mixed", "--n", "3", "--res", "5"], {"zeros"}),
+    ("sweep", ["sweep", "--family", "axis1", "--p1", "1..3"], {"zeros"}),
+    ("locus-k2", ["locus", "--family", "k2", "--res", "5"], {"zeros", "numpy"}),
+    ("zeros-axis1", ["zeros", "--family", "axis1", "--p", "4"], {"zeros", "numpy"}),
+]
+
+
+def _loaded(argv) -> set:
+    """Which of numpy, bergman.oracle and bergman.zeros a child running argv loads."""
     if argv is None:
         run = ("import bergman\n"
                "bergman.evaluate(bergman.diagonal_domain(2.0, 2.0), "
                "(0.2, 0.1), (0.2, 0.1))\n")
     else:
         run = f"import bergman.cli\nassert bergman.cli.main({argv!r}) == 0\n"
+    names = {"numpy": "numpy", "oracle": "bergman.oracle", "zeros": "bergman.zeros"}
     proc = subprocess.run(
-        [sys.executable, "-c", run + "import sys\nprint('numpy' in sys.modules)\n"],
+        [sys.executable, "-c", run + "import sys\n"
+         f"print('loaded', *(k for k, v in {names!r}.items() if v in sys.modules))\n"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False", "numpy was imported"
+    return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def _rows(numpy: bool):
+    rows = [row for row in LOADS if ("numpy" in row[2]) == numpy]
+    return pytest.mark.parametrize("argv, loaded", [row[1:] for row in rows],
+                                   ids=[row[0] for row in rows])
+
+
+@_rows(numpy=False)
+def test_closed_form_runs_leave_numpy_unloaded(argv, loaded):
+    assert _loaded(argv) == loaded
+
+
+@_rows(numpy=True)
+def test_array_runs_load_numpy_and_nothing_unused(argv, loaded):
+    assert _loaded(argv) == loaded
 
 
 # ------------------------------------------------------------- bad inputs

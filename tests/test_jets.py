@@ -254,6 +254,25 @@ def test_public_names_resolve():
     assert set(bergman.__all__) <= set(namespace)
 
 
+def test_public_names_are_the_objects_their_home_modules_define():
+    # oracle's and zeros' names load on first access; each must come from the
+    # module that defines it, not from one that imports it
+    import importlib
+
+    import bergman
+
+    for name in bergman.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(bergman, name)
+        assert obj.__module__.startswith("bergman."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    for name, home in bergman._LAZY.items():
+        assert getattr(bergman, name).__module__ == f"bergman.{home}", name
+    assert bergman.series_kernel is bergman.oracle.series_kernel
+    assert bergman.axis2_zero_locus is bergman.zeros.axis2_zero_locus
+
+
 def test_branch_point():
     with pytest.raises(BranchPointJet):
         jet_rpow(j(0, 1), 0.5)

@@ -13,6 +13,8 @@ from bergman import zeros as zeros_module
 from bergman.errors import NoConvergence, PreconditionViolated
 from bergman.jets import Jet1, jet1_variable
 from bergman.kernels import (
+    MAX_RESOLUTION,
+    _axis2_coefficients,
     _k2_cell_floor,
     axis_limit_kernel,
     k2_closed_form,
@@ -524,6 +526,32 @@ def test_axis2_locus_p4():
     assert rep.zeros[0].location == pytest.approx(
         -5.0 + 2.0 * math.sqrt(5.0), abs=1e-12)
     assert rep.count_by_winding == 1
+
+
+@pytest.mark.parametrize("p", [1e77, 1e100, 5e153])
+def test_axis2_locus_finds_its_zero_at_huge_p(p):
+    # b^2 - 4ac overflowed to inf - inf above p = 5.8e76 and the zero went
+    # unlisted; scaled to the largest coefficient it finds -2 + sqrt(3), the
+    # zero of the limit y^2 + 4y + 1
+    rep = axis2_zero_locus(p)
+    assert len(rep.zeros) == 1
+    assert abs(rep.zeros[0].location - (math.sqrt(3.0) - 2.0)) < 1e-15
+    assert rep.count_by_winding == 1
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 5.0, 7.25, 1e10, 1e70])
+def test_axis2_roots_keep_the_bits_of_the_unscaled_formula(p):
+    a, b, c = _axis2_coefficients(p)
+    disc = cmath.sqrt(b * b - 4.0 * a * c)
+    roots = ((-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a))
+    want = sorted((y for y in roots if abs(y) < 1.0), key=lambda y: (y.real, y.imag))
+    assert [z.location for z in axis2_zero_locus(p).zeros] == want
+
+
+def test_locus_side_is_linspace_bit_for_bit():
+    for res in range(MAX_RESOLUTION + 1):
+        assert ([v.hex() for v in zeros_module._locus_side(res)]
+                == [float(v).hex() for v in np.linspace(-0.95, 0.95, res)])
 
 
 @pytest.mark.parametrize("p", [2.00001, 2.0001, 2.0001711976110625, 2.001,
