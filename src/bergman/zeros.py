@@ -279,7 +279,7 @@ def axis2_zero_locus(p: float) -> ZeroReport:
     if abs(a) < 1e-12:
         if abs(b) > 1e-12:
             locs.append(complex(-c / b))
-    else:  # the roots keep their bits at (a, b, c) over a power of two, b^2 - 4ac finite
+    else:  # over a power of two, (a, b, c) keep the roots' bits and b^2 - 4ac finite
         e = -math.frexp(max(abs(a), abs(b), c))[1]
         a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
         disc = cmath.sqrt(b * b - 4.0 * a * c)

@@ -269,8 +269,6 @@ def test_public_names_are_the_objects_their_home_modules_define():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
     for name, home in bergman._LAZY.items():
         assert getattr(bergman, name).__module__ == f"bergman.{home}", name
-    assert bergman.series_kernel is bergman.oracle.series_kernel
-    assert bergman.axis2_zero_locus is bergman.zeros.axis2_zero_locus
 
 
 def test_branch_point():
