@@ -1,12 +1,12 @@
 """Command-line front end: evaluate kernels, locate zeros, emit grids, verify.
 
 Commands and exit codes follow a fixed table: 0 success, 2 argument or
-parse problems, 3 point outside the domain, 4 a zero report that fails a
-check (its winding count differs from its number of zeros, or its zeros
-contradict the family's predicate), 5 verification failure.  All numeric
-output is printed with 17 significant digits so values round-trip through
-text exactly; files are written to a temporary name and renamed, so a
-failed run never leaves partial output.
+parse problems, 3 point outside the domain, 4 a zero report that
+zeros.Family.certifies fails (its winding count differs from its number of
+zeros, or its zeros contradict the family's predicate), 5 verification
+failure.  All numeric output is printed with 17 significant digits so
+values round-trip through text exactly; files are written to a temporary
+name and renamed, so a failed run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -119,10 +119,8 @@ def _parse_point(text: str, expect: int, label: str) -> tuple[complex, ...]:
 
 
 def _parse_range(text: str, label: str) -> list[float]:
-    """Grid values: '3', 'fixed 3', 'fixed:3', 'A..B', or 'A..B:STEP'."""
+    """Grid values: '3', 'A..B', or 'A..B:STEP'."""
     s = text.strip()
-    if s.startswith("fixed"):
-        s = s[len("fixed"):].lstrip(" :=")
     try:
         if ".." in s:
             left, right = s.split("..", 1)
@@ -153,8 +151,7 @@ def _parse_range(text: str, label: str) -> list[float]:
 # --------------------------------------------------------------- families
 
 def _family(name: str, args):
-    """The record of --family name and its --p or --n value (None for k2),
-    that value and --res checked."""
+    """The record of --family name and its --p or --n value (None for k2), --res checked."""
     from .zeros import FAMILIES
 
     if name not in FAMILIES:
@@ -162,36 +159,22 @@ def _family(name: str, args):
     if not 1 <= args.res <= MAX_RESOLUTION:
         raise _Usage(f"--res must lie in 1..{MAX_RESOLUTION}, got {args.res}")
     fam = FAMILIES[name]
-    if fam.param is None:
-        return fam, None
-    value = getattr(args, fam.param)
-    (value,) = _family_values(name, fam.param, fam.param,
-                              None if value is None else [value])
-    return fam, value
+    return fam, None if fam.param is None else _given(name, fam.param, getattr(args, fam.param))
 
 
-def _family_values(name: str, flag: str, param: str, values: list | None) -> list:
-    """The values given for the parameter param of family name by --flag, each checked."""
-    if values is None:
+def _given(name: str, flag: str, value):
+    """value, as --flag gave it for --family name: a usage error if missing."""
+    if value is None:
         raise _Usage(f"--family {name} needs --{flag}")
-    for v in values:
-        if param == "p":
-            _check_positive(flag, v)
-        if param == "n" and not (float(v).is_integer() and v >= 2):
-            raise _Usage(f"--{flag} must be an integer >= 2, got {v:g}")
-    return values
-
-
-def _check_positive(flag: str, v: float) -> None:
-    if not (v > 0.0 and math.isfinite(v)):
-        raise _Usage(f"--{flag} must be finite and > 0, got {_fmt(v)}")
+    return value
 
 
 # ------------------------------------------------------------------- eval
 
 
 def _cmd_eval(args) -> int:
-    _check_positive("tol", args.tol)
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise _Usage(f"--tol must be finite and > 0, got {_fmt(args.tol)}")
     d = parse_domain_spec(_read_domain_arg(args.domain))
     z = _parse_point(args.z, d.total_dim, "z")
     w = _parse_point(args.w, d.total_dim, "w") if args.w else z
@@ -236,17 +219,14 @@ def _read_domain_arg(text: str) -> str:
 def _cmd_zeros(args) -> int:
     fam, value = _family(args.family, args)
     rep = fam.report(value, args.res)
-    zeroed = len(rep.zeros) > 0
     record = {"command": "zeros", "family": args.family}
     if fam.param is not None:
         record[fam.param] = value
     record.update(rep.to_json_dict())
-    record["zeroed"] = zeroed
+    record["zeroed"] = len(rep.zeros) > 0
     record["predicate_zeroed"] = fam.zeroed(value)
     _emit(_to_json(record) + "\n", args.out)
-    certified = (rep.count_by_winding == len(rep.zeros)
-                 and zeroed == record["predicate_zeroed"])
-    return EXIT_OK if certified else EXIT_MISMATCH
+    return EXIT_OK if fam.certifies(value, rep) else EXIT_MISMATCH
 
 
 # ------------------------------------------------------------------- locus
@@ -275,12 +255,9 @@ def _cmd_sweep(args) -> int:
         raise _Usage(f"sweep supports {', '.join(swept)}; got {args.family!r}")
     fam = FAMILIES[args.family]
     flag = "p1" if fam.param == "p" else "n"
-    grid = getattr(args, flag)
     lines = [f"{flag},status"]
-    for v in _family_values(args.family, flag, fam.param,
-                            grid and _parse_range(" ".join(grid), flag)):
-        label = _fmt(v) if fam.param == "p" else int(v)
-        lines.append(f"{label},{'zeroed' if fam.zeroed(v) else 'zero-free'}")
+    for v in _parse_range(_given(args.family, flag, getattr(args, flag)), flag):
+        lines.append(f"{_to_json(fam.read(v))},{'zeroed' if fam.zeroed(v) else 'zero-free'}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -461,9 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="map zero-free vs zeroed over a grid")
     p.add_argument("--family", required=True)
-    p.add_argument("--p1", nargs="+", default=None,
-                   help="grid: A..B, A..B:STEP, N, or fixed N")
-    p.add_argument("--n", nargs="+", default=None)
+    p.add_argument("--p1", default=None, help="grid: A..B, A..B:STEP, or N")
+    p.add_argument("--n", default=None)
     p.add_argument("--out", default=None, help="output path (atomic write)")
 
     return parser

@@ -2,13 +2,15 @@
 
 Every zero claim is certified twice: a residual |K| at the reported location
 through a closed-form evaluation, and an argument-principle count on a
-circle, which must agree with the number of reported zeros.
+circle.  Family.certifies requires that count to equal the number of listed
+zeros, and the zeros to agree with the family's closed-form predicate.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -101,13 +103,27 @@ class TwoVarSlice:
     restrict_x: Callable[[complex], SliceFunction]
 
 
-# m and scale, each at the family's parameter, of the families whose slice
-# is the odd quotient scale * [(1 - t)^-m - (1 + t)^-m] / (4t)
+def _exponent(p) -> float:
+    """p as the p families read it, a float: PreconditionViolated unless finite and > 0."""
+    if not (isinstance(p, numbers.Real) and 0.0 < p < math.inf):
+        raise PreconditionViolated(f"exponent p must be positive and finite, got {p!r}")
+    return float(p)
+
+
+def _dimension(n) -> int:
+    """n as the n families read it, an int: PreconditionViolated unless an integer >= 2."""
+    if not (isinstance(n, numbers.Real) and n >= 2 and n % 1 == 0):
+        raise PreconditionViolated(f"dimension n must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+# m and scale, each at the family's parameter (refused outside its domain),
+# of the families whose slice is the odd quotient scale * [(1 - t)^-m - (1 + t)^-m] / (4t)
 ODD_QUOTIENTS = {
-    "axis1": (lambda p: p + 2.0, lambda p: (p + 1.0) / math.pi ** 2),
-    "simplex": (lambda n: 2.0 * n, lambda n: simplex_restriction_constant(n)
-                * (2.0 * n - 1.0) / math.pi ** 2),
-    "mixed": (lambda n: n + 1.0, _mixed_scale),
+    "axis1": (lambda p: _exponent(p) + 2.0, lambda p: (_exponent(p) + 1.0) / math.pi ** 2),
+    "simplex": (lambda n: 2.0 * _dimension(n), lambda n: simplex_restriction_constant(
+        _dimension(n)) * (2.0 * n - 1.0) / math.pi ** 2),
+    "mixed": (lambda n: _dimension(n) + 1.0, lambda n: _mixed_scale(_dimension(n))),
 }
 
 
@@ -133,7 +149,7 @@ def axis1_slice(p: float) -> SliceFunction:
 
 def axis2_slice(p: float) -> SliceFunction:
     """K restricted to the first slice variable = 0, a rational function of y."""
-    a, b, c = _axis2_coefficients(p)
+    a, b, c = _axis2_coefficients(p := _exponent(p))
     return SliceFunction(eval=lambda y: axis_limit_kernel(p, y),
                          description=f"axis-2 slice, fiber exponent {p}",
                          dlog=lambda y: y * (2.0 * a * y + b) / ((a * y + b) * y + c)
@@ -264,17 +280,13 @@ def odd_quotient_zero_locus(m: float, scale: float) -> ZeroReport:
 def axis1_zero_locus(p: float) -> ZeroReport:
     """Zeros of the axis-1 slice in the unit disc: x = +-i tan(pi k/(p+2))
     for 1 <= k < (p+2)/4, nonempty exactly when p > 2."""
-    if p <= 0:
-        raise PreconditionViolated(f"exponent must be positive, got {p}")
     m, scale = ODD_QUOTIENTS["axis1"]
     return odd_quotient_zero_locus(m(p), scale(p))
 
 
 def axis2_zero_locus(p: float) -> ZeroReport:
     """Zeros in y of the axis-2 slice: the numerator quadratic inside |y| < 1."""
-    if p <= 0:
-        raise PreconditionViolated(f"exponent must be positive, got {p}")
-    a, b, c = _axis2_coefficients(p)
+    a, b, c = _axis2_coefficients(p := _exponent(p))
     locs: list[complex] = []
     if abs(a) < 1e-12:
         if abs(b) > 1e-12:
@@ -425,12 +437,22 @@ _LOCUS_SPAN = 0.95  # half-width of a one-variable slice's locus grid
 class Family:
     """A slice family: its parameter ("p", "n" or None), its zero report at a
     value and scan resolution, the closed-form threshold that report is
-    checked against (has zeros at a value), and its locus grid."""
+    checked against (has zeros at a value), and its locus grid; each of the
+    three refuses a value outside the family's domain, as read does."""
 
     param: str | None
     report: Callable[[float | None, int], ZeroReport]
     zeroed: Callable[[float | None], bool]
     rows: Callable[[float | None, int], Iterator[tuple[complex, complex, complex]]]
+
+    def read(self, value):
+        """A value of the family's parameter as the family reads it, a float p
+        or an int n; PreconditionViolated outside the family's domain."""
+        return (_exponent if self.param == "p" else _dimension)(value)
+
+    def certifies(self, value, rep: ZeroReport) -> bool:
+        """Whether rep, the report at value, counts its listed zeros and lists some iff zeroed."""
+        return rep.count_by_winding == len(rep.zeros) and bool(rep.zeros) == self.zeroed(value)
 
 
 def _locus_side(res: int) -> list[float]:
@@ -481,7 +503,7 @@ def _odd_family(name: str, param: str, make: Callable[[float], SliceFunction]) -
 FAMILIES = {
     "axis1": _odd_family("axis1", "p", lambda p: axis1_slice(p)),
     "axis2": Family("p", report=lambda p, res: axis2_zero_locus(p),
-                    zeroed=lambda p: p > 2.0,
+                    zeroed=lambda p: _exponent(p) > 2.0,
                     rows=lambda p, res: _line_rows(axis2_slice(p), res)),
     "simplex": _odd_family("simplex", "n", lambda n: simplex_slice(n)),
     "mixed": _odd_family("mixed", "n", lambda n: mixed_slice(n)),

@@ -338,6 +338,14 @@ def test_sweep_axis2_over_p1(capsys):
     assert capsys.readouterr().out == "p1,status\n1,zero-free\n2,zero-free\n3,zeroed\n"
 
 
+@pytest.mark.parametrize("grid", [["fixed", "3"], ["fixed:3"], ["fixed 3"]])
+def test_sweep_refuses_the_fixed_grid_spelling(capsys, grid):
+    # a grid is N, A..B or A..B:STEP, one token
+    assert main(["sweep", "--family", "axis1", "--p1", *grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
+
+
 def test_sweep_bad_grid_exit_2(capsys):
     assert main(["sweep", "--family", "axis1", "--p1", "nonsense"]) == 2
     assert main(["sweep", "--family", "k2"]) == 2  # no parameter to sweep

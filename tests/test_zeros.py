@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -25,6 +26,7 @@ from bergman.kernels import (
 from bergman.oracle import SeriesConfig, series_kernel
 from bergman.domains import diagonal_domain
 from bergman.zeros import (
+    FAMILIES,
     ODD_QUOTIENTS,
     SliceFunction,
     TwoVarSlice,
@@ -1009,3 +1011,66 @@ def test_zero_report_includes_min_modulus_for_scans():
     blob = rep.to_json_dict()
     assert "min_modulus" in blob
     assert blob["min_modulus"] > 0.0
+
+
+# ----------------------------------------------------------------- families
+
+NAN, INF = float("nan"), float("inf")
+OUT_OF_DOMAIN = {"p": [NAN, INF, -INF, 0.0, -1.0], "n": [NAN, 0, 1, 1.5]}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, v) for name, fam in FAMILIES.items() if fam.param is not None
+    for v in OUT_OF_DOMAIN[fam.param]])
+def test_a_family_refuses_a_value_outside_its_domain(name, value):
+    fam = FAMILIES[name]
+    with pytest.raises(PreconditionViolated):
+        fam.report(value, 48)
+    with pytest.raises(PreconditionViolated):
+        fam.zeroed(value)
+    with pytest.raises(PreconditionViolated):
+        fam.rows(value, 8)  # before the first row is asked for
+    with pytest.raises(PreconditionViolated):
+        fam.read(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: axis2_zero_locus(NAN),
+    lambda: axis2_zero_locus(INF),
+    lambda: FAMILIES["axis2"].zeroed(NAN),
+    lambda: FAMILIES["mixed"].report(1, 48),
+    lambda: FAMILIES["mixed"].report(0, 48),
+    lambda: FAMILIES["mixed"].report(-1, 48),
+    lambda: simplex_slice(1.5),
+    lambda: FAMILIES["simplex"].report(1.5, 48),
+    lambda: axis1_slice(NAN),
+    lambda: axis2_slice(-1.0),
+    lambda: mixed_slice(1),
+    lambda: simplex_slice(INF),
+], ids=["axis2-locus-nan", "axis2-locus-inf", "axis2-zeroed-nan", "mixed-report-1",
+        "mixed-report-0", "mixed-report-minus-1", "simplex-slice-1.5", "simplex-report-1.5",
+        "axis1-slice-nan", "axis2-slice-minus-1", "mixed-slice-1", "simplex-slice-inf"])
+def test_an_entry_point_refuses_a_parameter_outside_its_domain(call):
+    with pytest.raises(PreconditionViolated):
+        call()
+
+
+def test_a_family_reads_an_integral_n_as_an_int_and_p_as_a_float():
+    assert FAMILIES["simplex"].report(3.0, 48) == FAMILIES["simplex"].report(3, 48)
+    assert [type(FAMILIES[f].read(v)) for f, v in
+            (("axis1", 4), ("axis2", 3.5), ("simplex", 3.0), ("mixed", 4))] == [
+                float, float, int, int]
+
+
+def test_a_family_fails_a_report_that_miscounts_or_contradicts_its_predicate():
+    # the rule behind the CLI's exit 4, on real reports altered as
+    # perfbench/smoke.py alters them
+    axis1, mixed = FAMILIES["axis1"], FAMILIES["mixed"]
+    rep, clean = axis1.report(4.0, 48), mixed.report(3, 48)
+    assert axis1.certifies(4.0, rep) and mixed.certifies(3, clean)
+    assert not axis1.certifies(4.0, dataclasses.replace(
+        rep, count_by_winding=rep.count_by_winding + 1))
+    # the count agrees with the listing, but the predicate says otherwise
+    assert not axis1.certifies(4.0, dataclasses.replace(rep, zeros=(), count_by_winding=0))
+    assert not mixed.certifies(3, dataclasses.replace(
+        clean, zeros=(Zero(0.5j, 1e-3),), count_by_winding=1))
