@@ -455,12 +455,13 @@ _HANDLERS = {
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join --z/--w with values that begin with a minus sign."""
+    """Join each --option with a following value that begins with a minus
+    sign and then a digit or a point, which argparse takes for an option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in ("--z", "--w") and i + 1 < len(argv)
+        if (tok.startswith("--") and len(tok) > 2 and "=" not in tok and i + 1 < len(argv)
                 and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
                 and argv[i + 1][1] in "0123456789."):
             out.append(tok + "=" + argv[i + 1])

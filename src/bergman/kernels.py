@@ -534,8 +534,11 @@ def _k2_cell_floor(xc, yc, hx, hy):
     K2 rounds by some 1e-13 of itself.  Every cell the scan skips keeps |num_c|
     less its linear and remainder terms above 3e-5 (res 8-96 and every 12th to
     256, least at 240), against terms below 8: that difference rounds by under
-    1e-13, under 1e-8 of the floor.  The floor stands for the cell's mirrored
-    grid points too, where |K2| is within 2e-13 of itself (res 48 and 256)."""
+    1e-13, under 1e-8 of the floor.  On a radius pair's bidisc about the
+    origin num = 3 and delta = 1 exactly, and every pair the scan drops keeps
+    that difference above 0.26 (res 8-256).  The floor stands for the cell's
+    mirrored grid points too, where |K2| is within 2e-13 of itself (res 48
+    and 256)."""
     import numpy as np
 
     s, d, xy = 1.0 - xc - yc, xc - yc, xc * yc

@@ -75,11 +75,13 @@ class ZeroReport:
 class SliceFunction:
     """Holomorphic one-variable restriction; eval takes scalars, arrays and
     jets, dlog, t f'(t)/f(t), scalars and arrays.  dlog defaults to t c1/c0
-    of the order-1 jet of eval."""
+    of the order-1 jet of eval.  real: f(conj t) = conj f(t) (real Taylor
+    coefficients), so the winding count samples half the circle."""
 
     eval: Callable[[complex | Jet1], complex | Jet1]
     description: str
     dlog: Callable | None = None
+    real: bool = False
 
     def __post_init__(self):
         if self.dlog is None:
@@ -138,7 +140,7 @@ def _odd_quotient_slice(m: float, scale: float, description: str) -> SliceFuncti
         return m * u * (1.0 / (1.0 - u) + rho / (1.0 + u)) / (1.0 - rho) - 1.0
 
     return SliceFunction(eval=lambda t: _odd_quotient(1.0, m, scale, t),
-                         description=description, dlog=dlog)
+                         description=description, dlog=dlog, real=True)
 
 
 def axis1_slice(p: float) -> SliceFunction:
@@ -153,7 +155,7 @@ def axis2_slice(p: float) -> SliceFunction:
     return SliceFunction(eval=lambda y: axis_limit_kernel(p, y),
                          description=f"axis-2 slice, fiber exponent {p}",
                          dlog=lambda y: y * (2.0 * a * y + b) / ((a * y + b) * y + c)
-                         + 4.0 * y / (1.0 - y))
+                         + 4.0 * y / (1.0 - y), real=True)
 
 
 def mixed_slice(n: int) -> SliceFunction:
@@ -181,7 +183,8 @@ def k2_pair_slice() -> TwoVarSlice:
 
 def k2_axis_slice() -> SliceFunction:
     """K2 on the axis y = 0, (6/pi^2) (1+x) / (1-x)^4: zero only at the boundary."""
-    return SliceFunction(eval=lambda x: k2_values(x, 0.0), description="k2 axis slice")
+    return SliceFunction(eval=lambda x: k2_values(x, 0.0), description="k2 axis slice",
+                         real=True)
 
 
 def newton_refine(f: SliceFunction, seed: complex, tol: float = 1e-12) -> complex:
@@ -212,17 +215,21 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
     Uniform (trapezoid) sums of f.dlog(t) / M over the circle, doubling M from
     512 to _MAX_SAMPLES until two successive sums round to the same integer,
     the later within 1e-3 of it.  Off the zeros and poles of f the sum
-    converges geometrically in M (Trefethen & Weideman, SIAM Rev. 2014); a
-    zero on the circle ends in NoConvergence instead of a wrong integer, as a
-    non-finite sum where a sample hits it and as a sum that never settles
-    otherwise (one simple zero a gives exactly 1/(1 - (a/r)^M), whose real
-    part is 1/2 when |a| = r).  The sums nest: 2 pi k/M doubles exactly with
-    k and M, so the even samples at 2M are the samples at M, bit for bit, and
-    the sum at 2M adds only its M odd ones to the raw sum at M.  A count thus
+    converges geometrically in M (Trefethen & Weideman, SIAM Rev. 2014).  A
+    zero on a sample makes the sum non-finite, and a single zero a between
+    samples gives exactly 1/(1 - (a/r)^M), whose real part is 1/2 when |a| =
+    r, so neither settles: NoConvergence.  A conjugate pair a, conj a between
+    samples of a real f does settle, to a wrong integer: the pair adds
+    exactly 1 at every M.  The sums nest: 2 pi k/M doubles exactly with k and
+    M, so the even samples at 2M are the samples at M, bit for bit, and the
+    sum at 2M adds only its M odd ones to the raw sum at M.  A count thus
     evaluates f.dlog once at each of its final M points, on one array per
     _BLOCK of them, radius times _unit_roots (kept in _ROOTS up to M =
     _ROOTS_MAX_M, 16,384 points), under np.errstate(all="ignore"): an
-    overflow reaches the non-finite check silently.
+    overflow reaches the non-finite check silently.  For a real f, whose
+    dlog at conj t is conj dlog(t), only the closed upper half 0 <= k <= M/2
+    is evaluated and the sum is dlog(r) + dlog(-r) plus twice the real part
+    of the rest: the same sum, so the same integers and the same fault.
     """
     import numpy as np
 
@@ -230,9 +237,13 @@ def count_zeros_winding(f: SliceFunction, radius: float) -> int:
         raise PreconditionViolated(f"radius must lie in (0,1), got {radius}")
     prev, acc, m, step = None, 0j, 512, 1
     while m <= _MAX_SAMPLES:
+        stop = m // 2 + 1 if f.real else m
         with np.errstate(all="ignore"):
-            for k in range(step - 1, m, step * _BLOCK):
-                acc += complex(f.dlog(radius * _unit_roots(k, m, step)).sum())
+            for k in range(step - 1, stop, step * _BLOCK):
+                d = f.dlog(radius * _unit_roots(k, m, step)[:len(range(k, stop, step))])
+                if f.real and k == 0:  # t = r and t = -r, on the real axis
+                    acc, d = acc + complex(d[0] + d[-1]), d[1:-1]
+                acc += 2.0 * float(d.sum().real) if f.real else complex(d.sum())
         w = acc / m
         if not cmath.isfinite(w):
             raise NoConvergence(f"winding sum is not finite ({w}) on |t| = {radius}")
@@ -375,10 +386,12 @@ def _grid_scan_two_var(slc: TwoVarSlice, res: int, tol: float) -> ZeroReport:
     # steps.  The admissible radius pairs are symmetric and their rings whole,
     # K2(x, y) = K2(y, x) and |K2(conj x, conj y)| = |K2(x, y)|, so floors go to
     # the cells with x radius at most y's, an upper y run and, at equal radii,
-    # an x run no farther from angle 0.  Chunks of them go outer y radii first,
-    # the first seeded by the real axis; each splits the cells it cannot skip
-    # into y's fine runs (y has the larger radius) and passes each fine cell
-    # left to eval_many with its swap and its mirrored grid points
+    # an x run no farther from angle 0.  The real axis of the first chunk seeds
+    # the minimum, a radius pair goes whole if its floor on |x| <= r_i, |y| <=
+    # r_j, which holds both rings, lies above it, and chunks of the rest go
+    # outer y radii first; each splits the cells it cannot skip into y's fine
+    # runs (y has the larger radius) and passes each fine cell left to
+    # eval_many with its swap and its mirrored grid points
     wide = _CELL * _COARSE
     first = np.arange(0, res // 2 + 1, wide)
     last = np.minimum(first + wide - 1, res // 2)
@@ -404,6 +417,8 @@ def _grid_scan_two_var(slc: TwoVarSlice, res: int, tol: float) -> ZeroReport:
     per_chunk, axis = max(1, _BLOCK // ga.size), np.array([0, res // 2])
     min_mod = float(np.abs(slc.eval_many(grid[ri[:per_chunk, None, None] * res + axis[:, None]],
                                          grid[rj[:per_chunk, None, None] * res + axis])).min())
+    ring = _k2_cell_floor(0.0, 0.0, side[ri], side[rj]) * (1.0 - 1e-6) <= min_mod
+    ri, rj = ri[ring], rj[ring]
     for k in range(0, ri.size, per_chunk):
         p, q = np.nonzero((ri[k:k + per_chunk, None] < rj[k:k + per_chunk, None]) | same_ring)
         i, a, j, b = ri[k + p], ga[q], rj[k + p], gb[q]

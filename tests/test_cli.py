@@ -550,6 +550,11 @@ BAD_INPUTS = [
     ("no-evaluator", ["eval", "--domain", '{"blocks":[{"dim":2,"p":2},{"dim":1,"p":3}]}',
                       "--z", "0.1,0.1,0.1"], 2),
     ("locus-negative-p", ["locus", "--family", "axis1", "--p", "-1"], 2),
+    # a value with a leading minus sign reaches the family's refusal, not argparse's
+    ("zeros-negative-p", ["zeros", "--family", "axis1", "--p", "-1e-3"], 2,
+     "error: exponent p must be positive"),
+    ("sweep-negative-p1", ["sweep", "--family", "axis1", "--p1", "-1..3"], 2,
+     "error: exponent p must be positive"),
     ("locus-nan-p", ["locus", "--family", "axis2", "--p", "nan"], 2),
     ("zeros-inf-p", ["zeros", "--family", "axis1", "--p", "inf"], 2),
     ("simplex-n1", ["zeros", "--family", "simplex", "--n", "1"], 2),

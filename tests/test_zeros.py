@@ -328,27 +328,75 @@ def test_winding_contour_through_zero():
         count_zeros_winding(between, 0.5)
 
 
-@pytest.mark.parametrize("make, r, want", [
-    (lambda: axis1_slice(4.0), 0.9, 2),
-    (lambda: axis1_slice(26.0), 0.999, 12),
-    (lambda: simplex_slice(9), 0.999, 8),
-], ids=["axis1-4", "axis1-26", "simplex-9"])
-def test_winding_evaluates_each_contour_point_once(make, r, want):
+@pytest.mark.parametrize("make, r, want, real", [
+    (lambda: axis1_slice(4.0), 0.9, 2, False),
+    (lambda: axis1_slice(26.0), 0.999, 12, False),
+    (lambda: simplex_slice(9), 0.999, 8, False),
+    (lambda: axis1_slice(26.0), 0.999, 12, True),
+], ids=["axis1-4", "axis1-26", "simplex-9", "axis1-26-real"])
+def test_winding_evaluates_each_contour_point_once(make, r, want, real):
     # the sum at 2M reuses the M samples of the sum at M, so the points
-    # evaluated are the final contour's M points, each once
+    # evaluated are the final contour's M points, each once; a real slice's
+    # are those of the closed upper half, k = 0..M/2
     slc, seen = make(), []
 
     def counted(t):
         seen.append(t.coeffs[0].copy())
         return slc.eval(t)
 
-    assert count_zeros_winding(SliceFunction(eval=counted, description="counted"), r) == want
+    f = SliceFunction(eval=counted, description="counted", real=real)
+    assert count_zeros_winding(f, r) == want
     t = np.concatenate(seen)
-    m = t.size
+    m = 2 * (t.size - 1) if real else t.size
     assert m >= 1024 and m & (m - 1) == 0
     k = np.rint(np.angle(t) % (2.0 * math.pi) * m / (2.0 * math.pi)).astype(int) % m
-    assert np.array_equal(np.sort(k), np.arange(m))
+    assert np.array_equal(np.sort(k), np.arange(m // 2 + 1 if real else m))
     assert np.allclose(t, r * np.exp(2j * math.pi * k / m), rtol=0.0, atol=1e-15)
+
+
+def _report_counts(locus, values):
+    """The (slice, radius) of the count in the report locus(v), per v in values."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "count_zeros_winding",
+                   lambda f, radius: calls.append((f, radius)) or 0)
+        for v in values:
+            locus(v)
+    return calls
+
+
+# (slice, radius) of each count of a sweep over the library's real slices:
+# the axis reports' counts at their radii (axis2 just above p = 2, where its
+# zero nears |y| = 1, and at p so large that its dlog overflows), simplex
+# and mixed at 0.999, and axis1 on circles through its innermost zeros
+REAL_SWEEP = {
+    "axis1": lambda: _report_counts(axis1_zero_locus, [k / 12.0 for k in range(1, 397)]),
+    "axis2": lambda: _report_counts(axis2_zero_locus, [k / 20.0 for k in range(1, 201)] + [
+        2.0000001, 2.000001, 2.00001, 5.8e153, 6e153, 1e77]),
+    "simplex": lambda: [(simplex_slice(n), 0.999) for n in range(2, 45)],
+    "mixed": lambda: [(mixed_slice(n), 0.999) for n in range(2, 80)],
+    "through-zero": lambda: [(axis1_slice(p), math.tan(math.pi / (p + 2.0)))
+                             for p in (4.0, 7.3)],
+}
+
+
+def _count_outcome(f, radius):
+    """The count, or the type and message start of the exception it raises."""
+    try:
+        return count_zeros_winding(f, radius)
+    except Exception as e:
+        return type(e), str(e)[:20]
+
+
+@pytest.mark.parametrize("family", REAL_SWEEP)
+def test_real_slice_counts_as_on_the_full_circle(family):
+    # the half-circle sum is the full circle's sum rounded otherwise: the
+    # same integer, or the same refusal, at every count of the sweep
+    cases = REAL_SWEEP[family]()
+    assert cases and all(f.real for f, _ in cases)
+    for f, r in cases:
+        want = _count_outcome(dataclasses.replace(f, real=False), r)
+        assert _count_outcome(f, r) == want, (f.description, r)
 
 
 def test_winding_points_keep_their_bits_across_the_table_cap(monkeypatch):
@@ -694,30 +742,40 @@ def _counted_k2(counts):
                        restrict_x=_no_restriction)
 
 
-def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
-    # the reference passes every admissible pair once; the scan, which takes
-    # floors on coarse cells, then on the three y splits of those it cannot
-    # skip, and evaluates the splits left with their images, passes about 0.2 %
+def _counted_floors(monkeypatch):
+    """Patch the scan's _k2_cell_floor to append each call's cell count to
+    the list it returns."""
     cells = []
 
     def counted_floor(xc, yc, hx, hy):
         cells.append(np.broadcast(xc, yc, hx, hy).size)
         return _k2_cell_floor(xc, yc, hx, hy)
 
+    monkeypatch.setattr(zeros_module, "_k2_cell_floor", counted_floor)
+    return cells
+
+
+def test_k2_scan_evaluates_a_hundredth_of_the_grid_at_most(monkeypatch):
+    # the reference passes every admissible pair once; the scan, which takes
+    # one floor per radius pair, then floors on the coarse cells of the pairs
+    # it keeps, then on the three y splits of those it cannot skip, and
+    # evaluates the splits left with their images, passes about 0.2 %
     grid, scan = [], []
     want = k2_scan_reference(_counted_k2(grid), 48)
-    monkeypatch.setattr(zeros_module, "_k2_cell_floor", counted_floor)
+    cells = _counted_floors(monkeypatch)
     assert grid_zero_scan(_counted_k2(scan), 48).min_modulus.hex() == want.hex()
     assert sum(grid) == 1029888
     assert sum(scan) <= 0.01 * sum(grid)
-    assert 0 < sum(cells) <= 8000
+    assert 0 < sum(cells) <= 4000
 
 
-def test_k2_scan_at_res_256_evaluates_at_most_100000_points():
-    # outer radii first: the running minimum is in from the first chunk on
-    scan = []
+def test_k2_scan_at_res_256_evaluates_at_most_100000_points(monkeypatch):
+    # outer radii first: the running minimum is in from the first chunk on,
+    # and the radius pairs whose floor lies above it take no cell floor
+    scan, cells = [], _counted_floors(monkeypatch)
     assert grid_zero_scan(_counted_k2(scan), 256).min_modulus.hex() == "0x1.6cba6547d44bap-8"
     assert 0 < sum(scan) <= 100000
+    assert 0 < sum(cells) <= 1500000
 
 
 def _recorded_floors(monkeypatch):
@@ -817,14 +875,15 @@ def test_k2_cell_floor_rounding_margin_holds_on_pruned_cells(res, monkeypatch):
 def k2_cells(draw):
     """res 8-96, admissible grid radii of both pairings, centre angles
     anywhere and 1-4 grid steps of angle either side of each centre, the
-    half-widths of a fine and of a coarse scan cell."""
+    half-widths of a fine and of a coarse scan cell, a seed, and whether to
+    take the radius pair's bidisc about the origin instead."""
     res = draw(st.integers(8, 96))
     side = np.linspace(0.88 / res, 0.88, res)
     fits = np.sqrt(side)[:, None] + np.sqrt(side)[None, :] < 1.0 - 1e-9
     i, j = draw(st.sampled_from(np.argwhere(fits).tolist()))
     return (res, side[i], side[j], draw(st.floats(0.0, 2.0 * math.pi)),
             draw(st.floats(0.0, 2.0 * math.pi)), draw(st.integers(1, 4)),
-            draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1)))
+            draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
 
 
 def _in_disc(rng, centre, radius, n):
@@ -835,17 +894,23 @@ def _in_disc(rng, centre, radius, n):
 @given(k2_cells())
 def test_k2_cell_floor_lies_below_k2_on_the_cell(cell):
     # the cell's grid points (its corners among them) and random points
-    # anywhere in the bidisc the floor bounds
-    res, rx, ry, tx, ty, kx, ky, seed = cell
+    # anywhere in the bidisc the floor bounds; or, for a whole radius pair,
+    # the bidisc |x| <= rx, |y| <= ry about the origin and both its rings
+    res, rx, ry, tx, ty, kx, ky, seed, rings = cell
     step = 2.0 * math.pi / res
-    xs = rx * np.exp(1j * (tx + step * np.arange(-kx, kx + 1)))
-    ys = ry * np.exp(1j * (ty + step * np.arange(-ky, ky + 1)))
-    hx, hy = 2.0 * rx * math.sin(kx * step / 2.0), 2.0 * ry * math.sin(ky * step / 2.0)
-    floor = _k2_cell_floor(xs[kx], ys[ky], hx, hy)
+    if rings:
+        xs, ys = (r * np.exp(1j * (t + step * np.arange(res))) for r, t in ((rx, tx), (ry, ty)))
+        xc, yc, hx, hy = 0.0, 0.0, rx, ry
+    else:
+        xs = rx * np.exp(1j * (tx + step * np.arange(-kx, kx + 1)))
+        ys = ry * np.exp(1j * (ty + step * np.arange(-ky, ky + 1)))
+        hx, hy = 2.0 * rx * math.sin(kx * step / 2.0), 2.0 * ry * math.sin(ky * step / 2.0)
+        xc, yc = xs[kx], ys[ky]
+    floor = _k2_cell_floor(xc, yc, hx, hy)
     rng = np.random.default_rng(seed)
     assert 0.0 <= floor <= np.abs(k2_values(xs[:, None], ys[None, :])).min()
-    assert floor <= np.abs(k2_values(_in_disc(rng, xs[kx], hx, 200),
-                                     _in_disc(rng, ys[ky], hy, 200))).min()
+    assert floor <= np.abs(k2_values(_in_disc(rng, xc, hx, 200),
+                                     _in_disc(rng, yc, hy, 200))).min()
 
 
 @pytest.mark.parametrize("res", [8, 48])
